@@ -10,7 +10,7 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from .delay import Converged, Delay, Now, now, run_for
+from .delay import Converged, Delay, now, run_for
 from .fixpoint import factorial_operator, fix
 from .laws import DelayGen, check_kleisli_laws, check_strength_laws
 from .lazy import Ended, observe, sloth_f, sloth_g, sloth_strict_g
@@ -33,7 +33,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help=f"step budget (default {DEFAULT_FUEL}; "
                              "64 for check-laws, 1000 for demo sloth)")
     parser.add_argument("--trace", action="store_true",
-                        help="print one line per computation step")
+                        help="print one line per computation step, "
+                             "when the run ends")
     parser.add_argument("--machine", action="store_true",
                         help="machine-readable output lines only")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -51,17 +52,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_and_report(d: Delay, fuel: int, trace: bool, out, prefix: str = "") -> int:
-    steps = 0
-    while not isinstance(d, Now):
-        if steps == fuel:
-            print(f"{prefix}EXHAUSTED fuel={fuel}", file=out)
-            return 2
-        d = d.rest()
-        steps += 1
-        if trace:
-            print(f"{prefix}STEP {steps}", file=out)
-    print(f"{prefix}CONVERGED {d.value} steps={steps}", file=out)
-    return 0
+    r = run_for(d, fuel)
+    converged = isinstance(r, Converged)
+    if trace:
+        for n in range(1, (r.steps if converged else fuel) + 1):
+            print(f"{prefix}STEP {n}", file=out)
+    if converged:
+        print(f"{prefix}CONVERGED {r.value} steps={r.steps}", file=out)
+        return 0
+    print(f"{prefix}EXHAUSTED fuel={fuel}", file=out)
+    return 2
 
 
 def _cmd_eval(opts, out, err) -> int:
@@ -103,11 +103,7 @@ def _demo_sloth(fuel: int, out) -> int:
     print(f"SLOTH lazy-g14 succs={succs} ended={ended.value}", file=out)
     succs, ended = observe(sloth_f(13), fuel)
     print(f"SLOTH lazy-f13 succs={succs} ended={ended.value}", file=out)
-    r = run_for(sloth_strict_g(14), fuel)
-    if isinstance(r, Converged):
-        print(f"SLOTH strict-g14 CONVERGED {r.value} steps={r.steps}", file=out)
-    else:
-        print(f"SLOTH strict-g14 EXHAUSTED fuel={fuel}", file=out)
+    _run_and_report(sloth_strict_g(14), fuel, False, out, prefix="SLOTH strict-g14 ")
     return 0
 
 

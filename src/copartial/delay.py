@@ -69,40 +69,50 @@ class Now(Delay[A]):
         return f"Now({self.value!r})"
 
 
-class Later(Delay[A]):
-    """One computation step; ``rest()`` forces the next stage."""
+class _Cell:
+    """A memoised thunk: ``force()`` runs it once and keeps the result.
+
+    Two conditions keep a forced chain from holding more than its live
+    state.  The thunk is dropped once forced, so a forced cell no longer
+    reaches what its step closure captured.  And a step closure must never
+    reach its own function (no nested function that calls itself): such a
+    function and its closure cell form a cycle that keeps a computation's
+    whole state alive until the cycle collector runs.
+    """
 
     __slots__ = ("_thunk", "_forced")
 
-    def __init__(self, thunk: Callable[[], Delay[A]]):
+    def __init__(self, thunk: Callable[[], Any] | None):
         self._thunk = thunk
-        self._forced: Delay[A] | None = None
+        self._forced = None
 
-    def rest(self) -> Delay[A]:
-        if self._forced is None:
+    def force(self):
+        if self._thunk is not None:
             self._forced = self._thunk()
+            self._thunk = None
         return self._forced
+
+    @classmethod
+    def knot(cls):
+        """A forced cell whose value is the cell itself."""
+        cell = cls(None)
+        cell._forced = cell
+        return cell
+
+
+class Later(_Cell, Delay[A]):
+    """One computation step; ``rest()`` forces the next stage."""
+
+    __slots__ = ()
+
+    rest = _Cell.force
 
     def __repr__(self) -> str:
         return "Later(...)"
 
 
-class _Never(Later[Any]):
-    """The canonical diverging computation; its own tail."""
-
-    __slots__ = ()
-
-    def __init__(self):
-        Later.__init__(self, lambda: self)
-
-    def rest(self) -> Delay[Any]:
-        return self
-
-    def __repr__(self) -> str:
-        return "Never"
-
-
-_NEVER: _Never = _Never()
+# The canonical diverging computation: its own tail.
+_NEVER: Later[Any] = Later.knot()
 
 
 @dataclass(frozen=True)
@@ -152,10 +162,9 @@ def delay_by(value: A, steps: int) -> Delay[A]:
     """``value`` behind exactly ``steps`` computation steps."""
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    d: Delay[A] = Now(value)
-    for _ in range(steps):
-        d = Later(lambda d=d: d)
-    return d
+    if steps == 0:
+        return Now(value)
+    return Later(lambda: delay_by(value, steps - 1))
 
 
 def unfold(seed: S, step: Callable[[S], Union[Again[S], Done[B]]]) -> Delay[B]:
@@ -193,9 +202,7 @@ def bind(f: Callable[[A], Delay[B]], x: Delay[A]) -> Delay[B]:
 
 def strength(a: A, y: Delay[B]) -> Delay[tuple[A, B]]:
     """Pair a ready value with a computation, keeping the steps of ``y``."""
-    if isinstance(y, Now):
-        return Now((a, y.value))
-    return Later(lambda: strength(a, y.rest()))
+    return fmap(lambda b: (a, b), y)
 
 
 def strict_pair(x: Delay[A], y: Delay[B]) -> Delay[tuple[A, B]]:
@@ -204,9 +211,7 @@ def strict_pair(x: Delay[A], y: Delay[B]) -> Delay[tuple[A, B]]:
     Converges iff both components converge; the steps of ``x`` are spent
     first, then the steps of ``y``.
     """
-    if isinstance(x, Now):
-        return strength(x.value, y)
-    return Later(lambda: strict_pair(x.rest(), y))
+    return strict_tuple((x, y))
 
 
 def strict_tuple(xs: Sequence[Delay[A]]) -> Delay[tuple[A, ...]]:
@@ -214,16 +219,20 @@ def strict_tuple(xs: Sequence[Delay[A]]) -> Delay[tuple[A, ...]]:
     items = tuple(xs)
     if not items:
         return Now(())
+    return _strict_tuple_from(items, 0, (), items[0])
 
-    def go(i: int, acc: tuple, cur: Delay[A]) -> Delay[tuple[A, ...]]:
-        if isinstance(cur, Now):
-            acc2 = acc + (cur.value,)
-            if i + 1 == len(items):
-                return Now(acc2)
-            return go(i + 1, acc2, items[i + 1])
-        return Later(lambda: go(i, acc, cur.rest()))
 
-    return go(0, (), items[0])
+def _strict_tuple_from(
+    items: tuple[Delay[A], ...], i: int, acc: tuple, cur: Delay[A]
+) -> Delay[tuple[A, ...]]:
+    # ``acc`` holds the values of items[:i]; ``cur`` is what is left of items[i].
+    while isinstance(cur, Now):
+        acc += (cur.value,)
+        i += 1
+        if i == len(items):
+            return Now(acc)
+        cur = items[i]
+    return Later(lambda: _strict_tuple_from(items, i, acc, cur.rest()))
 
 
 def strict_proj(i: int, xs: Sequence[Delay[A]]) -> Delay[A]:
@@ -265,13 +274,14 @@ def parallel_search(f: Callable[[int], Delay[B]]) -> Delay[B]:
     ``f(n)`` joins the race after ``n + 1`` outer steps, so the search
     emits one step per round even when every entrant is still stepping.
     """
+    return _dovetail(f, 0, _NEVER)
 
-    def aux(n: int, x: Delay[B]) -> Delay[B]:
-        if isinstance(x, Now):
-            return x
-        return Later(lambda: aux(n + 1, race(x.rest(), f(n))))
 
-    return aux(0, _NEVER)
+def _dovetail(f: Callable[[int], Delay[B]], n: int, x: Delay[B]) -> Delay[B]:
+    # ``x`` races the entrants f(0) .. f(n-1); f(n) joins in the next round.
+    if isinstance(x, Now):
+        return x
+    return Later(lambda: _dovetail(f, n + 1, race(x.rest(), f(n))))
 
 
 def run_for(x: Delay[A], fuel: int) -> RunResult[A]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 from typing import Callable, Tuple
 
-from .delay import Again, Delay, Done, unfold
+from .delay import Again, Delay, Done, _Cell, unfold
 from .semantics import FAILS, HOLDS, Verdict, unknown
 
 __all__ = [
@@ -44,33 +44,19 @@ class _Zero(LazyNat):
         return "Zero"
 
 
-class _Succ(LazyNat):
-    __slots__ = ("_thunk", "_forced")
+class _Succ(_Cell, LazyNat):
+    __slots__ = ()
 
-    def __init__(self, thunk: Callable[[], LazyNat]):
-        self._thunk = thunk
-        self._forced = None
-
-    def pred(self) -> LazyNat:
-        if self._forced is None:
-            self._forced = self._thunk()
-        return self._forced
+    pred = _Cell.force
 
     def __repr__(self) -> str:
         return "Succ(...)"
 
 
-class _Step(LazyNat):
-    __slots__ = ("_thunk", "_forced")
+class _Step(_Cell, LazyNat):
+    __slots__ = ()
 
-    def __init__(self, thunk: Callable[[], LazyNat]):
-        self._thunk = thunk
-        self._forced = None
-
-    def rest(self) -> LazyNat:
-        if self._forced is None:
-            self._forced = self._thunk()
-        return self._forced
+    rest = _Cell.force
 
     def __repr__(self) -> str:
         return "Step(...)"
@@ -87,28 +73,8 @@ def step(thunk: Callable[[], LazyNat]) -> LazyNat:
     return _Step(thunk)
 
 
-class _NeverLazy(_Step):
-    __slots__ = ()
-
-    def __init__(self):
-        _Step.__init__(self, lambda: self)
-
-    def rest(self) -> LazyNat:
-        return self
-
-
-class _Omega(_Succ):
-    __slots__ = ()
-
-    def __init__(self):
-        _Succ.__init__(self, lambda: self)
-
-    def pred(self) -> LazyNat:
-        return self
-
-
-_NEVER_LAZY = _NeverLazy()
-_OMEGA = _Omega()
+_NEVER_LAZY = _Step.knot()
+_OMEGA = _Succ.knot()
 
 
 def never_lazy() -> LazyNat:
@@ -158,11 +124,7 @@ def observe(x: LazyNat, fuel: int) -> Tuple[int, Ended]:
 
 def lazy_plus(x: LazyNat, y: LazyNat) -> LazyNat:
     """Addition by corecursion on the right argument."""
-    if isinstance(y, _Zero):
-        return x
-    if isinstance(y, _Succ):
-        return _Succ(lambda: lazy_plus(x, y.pred()))
-    return _Step(lambda: lazy_plus(x, y.rest()))
+    return _plus_deferred(lambda: x, y)
 
 
 def lazy_le(x: LazyNat, y: LazyNat, fuel: int) -> Verdict:
@@ -173,14 +135,15 @@ def lazy_le(x: LazyNat, y: LazyNat, fuel: int) -> Verdict:
     left faces a zero on the right, which no rule can conclude
     (``Fails``).  One fuel per stripped constructor.
     """
+    spent = 0
     while True:
         if isinstance(x, _Zero):
             return HOLDS
         if isinstance(x, _Succ) and isinstance(y, _Zero):
             return FAILS
-        if fuel == 0:
+        if spent == fuel:
             return unknown(fuel)
-        fuel -= 1
+        spent += 1
         if isinstance(x, _Step):
             x = x.rest()
         elif isinstance(y, _Step):

@@ -2,8 +2,9 @@
 
 Nested recursion (a recursive call applied to the result of another
 recursive call) is flattened with an accumulation counter that tracks
-how many applications are still pending, or with an explicit
-continuation when a post-processing function wraps the recursive call.
+how many applications are still pending.  When a post-processing
+function wraps the recursive call, a second counter tracks how many of
+its applications are pending; they are applied together at the base.
 """
 
 from __future__ import annotations
@@ -54,20 +55,25 @@ def devil(spec: DevilSpec[A], a: A, nesting: int = 1) -> Delay[A]:
     """The devil's nest: doubly-nested recursion with a post-map.
 
     ``nesting`` is the number of extra pending recursive applications
-    opened by one unfolding (1 for the doubly-nested form); pending
-    applications are counted rather than nested, and the post-map ``h``
-    is accumulated in a continuation.
+    opened by one unfolding (1 for the doubly-nested form).  Pending
+    applications are counted rather than nested, and so are the pending
+    applications of the post-map ``h``: one per unfolding, all applied
+    to the final base value.
     """
+    return _devil_from(spec, nesting, 0, 0, a)
 
-    def aux(k: Callable[[A], Delay[A]], m: int, x: A) -> Delay[A]:
-        if spec.in_base(x):
-            gx = spec.g(x)
-            if m == 0:
-                return k(gx)
-            return later(lambda: aux(k, m - 1, gx))
-        return later(lambda: aux(lambda v: k(spec.h(v)), m + nesting, spec.i(x)))
 
-    return aux(now, 0, a)
+def _devil_from(spec: DevilSpec[A], nesting: int, hs: int, m: int, x: A) -> Delay[A]:
+    # ``m`` recursive applications and ``hs`` applications of ``h`` are
+    # still pending on top of ``d(x)``.
+    if spec.in_base(x):
+        gx = spec.g(x)
+        if m == 0:
+            for _ in range(hs):
+                gx = spec.h(gx)
+            return now(gx)
+        return later(lambda: _devil_from(spec, nesting, hs, m - 1, gx))
+    return later(lambda: _devil_from(spec, nesting, hs + 1, m + nesting, spec.i(x)))
 
 
 def cps_fix(
@@ -77,14 +83,9 @@ def cps_fix(
     h: Callable[[A], A],
     a: A,
 ) -> Delay[A]:
-    """``d(a) = g(a) if in_base(a) else h(d(i(a)))`` via a continuation."""
-
-    def aux(k: Callable[[A], Delay[A]], x: A) -> Delay[A]:
-        if in_base(x):
-            return k(g(x))
-        return later(lambda: aux(lambda v: k(h(v)), i(x)))
-
-    return aux(now, a)
+    """``d(a) = g(a) if in_base(a) else h(d(i(a)))``: a devil's nest that
+    opens no extra pending application."""
+    return devil(DevilSpec(in_base, i, g, h), a, nesting=0)
 
 
 def mccarthy91_devil_spec() -> DevilSpec[int]:

@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-from .delay import Delay, Later, Now, fmap, later, now, strict_proj, strict_tuple
+from .delay import Delay, bind, fmap, later, now, strict_proj
 
 __all__ = [
     "RecCode",
@@ -156,25 +156,16 @@ def _eval_primrec(code: PrimRec, xs: Tuple[Delay[int], ...]) -> Delay[int]:
             acc = _eval(code.g, head + (now(k), acc))
         return acc
 
-    def drain(d: Delay[int]) -> Delay[int]:
-        if isinstance(d, Now):
-            return on_numeral(d.value)
-        return later(lambda: drain(d.rest()))
-
-    return drain(y)
+    return bind(on_numeral, y)
 
 
-def _eval_min(code: Min, xs: Tuple[Delay[int], ...]) -> Delay[int]:
-    # Search upward from 0 for the least zero of the body, spending one
+def _eval_min(code: Min, xs: Tuple[Delay[int], ...], i: int = 0) -> Delay[int]:
+    # Search upward from ``i`` for the least zero of the body, spending one
     # step per tested index and passing inner steps through.
-    def search(i: int, cur: Delay[int]) -> Delay[int]:
-        if isinstance(cur, Now):
-            if cur.value == 0:
-                return now(i)
-            return later(lambda: search(i + 1, _eval(code.f, xs + (now(i + 1),))))
-        return later(lambda: search(i, cur.rest()))
-
-    return search(0, _eval(code.f, xs + (now(0),)))
+    return bind(
+        lambda v: now(i) if v == 0 else later(lambda: _eval_min(code, xs, i + 1)),
+        _eval(code.f, xs + (now(i),)),
+    )
 
 
 class _Budget:

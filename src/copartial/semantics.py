@@ -65,12 +65,25 @@ def unknown(fuel_spent: int) -> Verdict:
     return Verdict("unknown", fuel_spent)
 
 
+def _judge(fuel: int, judge: Callable[..., Verdict], *sides: Delay) -> Verdict:
+    # Run each side under the full fuel in turn; judge their values, or
+    # give up with ``Unknown`` at the first side that does not converge.
+    values = []
+    for x in sides:
+        r = run_for(x, fuel)
+        if not isinstance(r, Converged):
+            return unknown(fuel)
+        values.append(r.value)
+    return judge(*values)
+
+
+def _equal(u, v) -> Verdict:
+    return HOLDS if u == v else FAILS
+
+
 def converges_to(x: Delay[A], a: A, fuel: int) -> Verdict:
     """Does ``x`` reach exactly the value ``a`` within ``fuel`` steps?"""
-    r = run_for(x, fuel)
-    if isinstance(r, Converged):
-        return HOLDS if r.value == a else FAILS
-    return unknown(fuel)
+    return _judge(fuel, lambda v: _equal(v, a), x)
 
 
 def diverges_bounded(x: Delay[A], fuel: int) -> Verdict:
@@ -79,10 +92,7 @@ def diverges_bounded(x: Delay[A], fuel: int) -> Verdict:
     Divergence cannot be confirmed by any finite observation, so the
     only definitive answer available here is ``Fails``.
     """
-    r = run_for(x, fuel)
-    if isinstance(r, Converged):
-        return FAILS
-    return unknown(fuel)
+    return _judge(fuel, lambda _v: FAILS, x)
 
 
 def diverges_finite_state(
@@ -113,10 +123,7 @@ def diverges_finite_state(
 
 def is_finite(x: Delay[A], fuel: int) -> Verdict:
     """Does ``x`` have a value at all?  Never ``Fails``."""
-    r = run_for(x, fuel)
-    if isinstance(r, Converged):
-        return HOLDS
-    return unknown(fuel)
+    return _judge(fuel, lambda _v: HOLDS, x)
 
 
 def bisim(x: Delay[A], y: Delay[A], fuel: int) -> Verdict:
@@ -126,19 +133,9 @@ def bisim(x: Delay[A], y: Delay[A], fuel: int) -> Verdict:
     within fuel the answer is ``Unknown``: ruling the pair apart would
     require a divergence proof for the other side.
     """
-    rx = run_for(x, fuel)
-    ry = run_for(y, fuel)
-    if isinstance(rx, Converged) and isinstance(ry, Converged):
-        return HOLDS if rx.value == ry.value else FAILS
-    return unknown(fuel)
+    return _judge(fuel, _equal, x, y)
 
 
 def leq(x: Delay[A], y: Delay[A], fuel: int) -> Verdict:
     """Convergence order: every value of ``x`` is also a value of ``y``."""
-    rx = run_for(x, fuel)
-    if not isinstance(rx, Converged):
-        return unknown(fuel)
-    ry = run_for(y, fuel)
-    if isinstance(ry, Converged):
-        return HOLDS if rx.value == ry.value else FAILS
-    return unknown(fuel)
+    return _judge(fuel, _equal, x, y)

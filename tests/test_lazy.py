@@ -167,3 +167,8 @@ class TestSlothStrict:
 
     def test_g14_exhausts_where_lazy_answers(self):
         assert isinstance(run_for(sloth_strict_g(14), 10_000), Exhausted)
+
+
+def test_lazy_le_out_of_fuel_reports_the_fuel_given():
+    assert str(lazy_le(omega(), omega(), 10)) == "Unknown(fuel_spent=10)"
+    assert str(lazy_le(never_lazy(), lazy_of(1), 0)) == "Unknown(fuel_spent=0)"
