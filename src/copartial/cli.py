@@ -19,8 +19,6 @@ from .reccode import IllFormed, ParseError, evaluate, parse_code
 
 DEFAULT_FUEL = 100_000
 
-DEMOS = ("nest", "devil91", "sloth", "factorial-fix")
-
 __all__ = ["main", "build_parser"]
 
 
@@ -114,14 +112,12 @@ def _demo_factorial_fix(fuel: int, out) -> int:
     return 0
 
 
-def _cmd_demo(opts, out) -> int:
-    runner = {
-        "nest": _demo_nest,
-        "devil91": _demo_devil91,
-        "sloth": _demo_sloth,
-        "factorial-fix": _demo_factorial_fix,
-    }[opts.name]
-    return runner(opts.fuel, out)
+DEMOS = {
+    "nest": _demo_nest,
+    "devil91": _demo_devil91,
+    "sloth": _demo_sloth,
+    "factorial-fix": _demo_factorial_fix,
+}
 
 
 def _cmd_check_laws(opts, out) -> int:
@@ -159,12 +155,15 @@ def main(argv: Optional[Sequence[str]] = None, out=None, err=None) -> int:
     if opts.fuel < 0:
         print("error: fuel must be non-negative", file=err)
         return 1
+    if opts.command == "check-laws" and opts.samples < 0:
+        print("error: samples must be non-negative", file=err)
+        return 1
     if not opts.machine:
         print(f"# copartial {opts.command} fuel={opts.fuel}", file=out)
     if opts.command == "eval":
         return _cmd_eval(opts, out, err)
     if opts.command == "demo":
-        return _cmd_demo(opts, out)
+        return DEMOS[opts.name](opts.fuel, out)
     return _cmd_check_laws(opts, out)
 
 

@@ -47,15 +47,6 @@ class Delay(Generic[A]):
 
     __slots__ = ()
 
-    def map(self, f: Callable[[A], B]) -> "Delay[B]":
-        return fmap(f, self)
-
-    def bind(self, f: "Callable[[A], Delay[B]]") -> "Delay[B]":
-        return bind(f, self)
-
-    def run(self, fuel: int) -> "RunResult[A]":
-        return run_for(self, fuel)
-
 
 class Now(Delay[A]):
     """A computation that already finished with ``value``."""

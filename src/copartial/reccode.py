@@ -1,10 +1,10 @@
 """Kleene partial recursive function codes and their delay interpreter.
 
-Codes are built from zero, successor, projections, composition,
-primitive recursion, and minimization.  ``evaluate`` interprets a code
-as a strict partial function on delayed naturals; ``oracle_eval`` is an
-independent big-step evaluator over plain integers with a global step
-budget, used to cross-check the delay interpreter.
+Codes are built from zero, successor, projections, composition, primitive
+recursion and minimization, and denote maps from value tuples to delayed
+naturals whose only steps are failed minimization probes.  ``evaluate``
+forces its delayed arguments once, left to right; ``oracle_eval`` is an
+independent budgeted big-step evaluator over plain integers, to check it.
 
 Concrete syntax (whitespace-insensitive)::
 
@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-from .delay import Delay, bind, fmap, later, now, strict_proj
+from .delay import Delay, bind, later, now, strict_tuple
 
 __all__ = [
     "RecCode",
@@ -35,6 +35,7 @@ __all__ = [
     "parse_code",
     "print_code",
     "CORPUS",
+    "MAX_NESTING",
 ]
 
 
@@ -122,49 +123,46 @@ def arity(code: RecCode, _path: str = "top") -> int:
 
 
 def evaluate(code: RecCode, args: Sequence[Delay[int]]) -> Delay[int]:
-    """Interpret ``code`` on delayed naturals; strict in every argument."""
+    """Force the delayed arguments once, left to right; run ``code`` on their values."""
     n = arity(code)
     xs = tuple(args)
     if len(xs) != n:
         raise ValueError(f"arity mismatch: code takes {n} arguments, got {len(xs)}")
-    return _eval(code, xs)
+    return bind(lambda vs: _eval(code, vs), strict_tuple(xs))
 
 
-def _eval(code: RecCode, xs: Tuple[Delay[int], ...]) -> Delay[int]:
+def _eval(code: RecCode, vs: tuple[int, ...]) -> Delay[int]:
     if isinstance(code, Zero):
-        return fmap(lambda _v: 0, xs[0])
+        return now(0)
     if isinstance(code, Succ):
-        return fmap(lambda v: v + 1, xs[0])
+        return now(vs[0] + 1)
     if isinstance(code, Proj):
-        return strict_proj(code.i, xs)
+        return now(vs[code.i - 1])
     if isinstance(code, Comp):
-        return _eval(code.f, tuple(_eval(g, xs) for g in code.gs))
+        return _eval_comp(code, vs, ())
     if isinstance(code, PrimRec):
-        return _eval_primrec(code, xs)
+        head = vs[:-1]
+        acc = _eval(code.f, head)
+        for k in range(vs[-1]):
+            acc = bind(lambda a, k=k: _eval(code.g, head + (k, a)), acc)
+        return acc
     if isinstance(code, Min):
-        return _eval_min(code, xs)
+        return _eval_min(code, vs)
     raise IllFormed("top", f"unknown code node {code!r}")
 
 
-def _eval_primrec(code: PrimRec, xs: Tuple[Delay[int], ...]) -> Delay[int]:
-    head, y = xs[:-1], xs[-1]
-
-    def on_numeral(m: int) -> Delay[int]:
-        # Base-first unrolling of the recursion on a fully-run numeral.
-        acc = _eval(code.f, head)
-        for k in range(m):
-            acc = _eval(code.g, head + (now(k), acc))
-        return acc
-
-    return bind(on_numeral, y)
+def _eval_comp(code: Comp, vs: tuple[int, ...], ys: tuple[int, ...]) -> Delay[int]:
+    # ``ys`` holds the values of the first len(ys) inner codes.
+    if len(ys) == len(code.gs):
+        return _eval(code.f, ys)
+    return bind(lambda y: _eval_comp(code, vs, ys + (y,)), _eval(code.gs[len(ys)], vs))
 
 
-def _eval_min(code: Min, xs: Tuple[Delay[int], ...], i: int = 0) -> Delay[int]:
-    # Search upward from ``i`` for the least zero of the body, spending one
-    # step per tested index and passing inner steps through.
+def _eval_min(code: Min, vs: tuple[int, ...], i: int = 0) -> Delay[int]:
+    # Probe ``i``, ``i + 1``, ...: one step per failed probe; inner steps pass through.
     return bind(
-        lambda v: now(i) if v == 0 else later(lambda: _eval_min(code, xs, i + 1)),
-        _eval(code.f, xs + (now(i),)),
+        lambda v: now(i) if v == 0 else later(lambda: _eval_min(code, vs, i + 1)),
+        _eval(code.f, vs + (i,)),
     )
 
 
@@ -228,16 +226,26 @@ def _oracle(code: RecCode, xs: Tuple[int, ...], budget: _Budget) -> int:
 _TOKEN = re.compile(r"\s*(Z|S|P|C|R|M|\(|\)|;|,|\d+)")
 
 
+# Deepest parenthesis nesting ``parse_code`` accepts.  The parser, the printer,
+# ``arity`` and both evaluators recurse per level; at this bound they fit the stack.
+MAX_NESTING = 200
+
+
 def _tokenize(text: str) -> list[tuple[str, int]]:
     tokens = []
     pos = 0
+    depth = 0
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if m is None:
             if text[pos:].strip() == "":
                 break
             raise ParseError(pos, f"unexpected character {text[pos]!r}")
-        tokens.append((m.group(1), m.start(1)))
+        tok = m.group(1)
+        depth += {"(": 1, ")": -1}.get(tok, 0)
+        if depth > MAX_NESTING:
+            raise ParseError(m.start(1), f"parentheses nest deeper than {MAX_NESTING}")
+        tokens.append((tok, m.start(1)))
         pos = m.end()
     return tokens
 
@@ -306,7 +314,7 @@ class _Parser:
 
 
 def parse_code(text: str) -> RecCode:
-    """Parse the concrete syntax; arity-checks the result."""
+    """Parse the concrete syntax (at most ``MAX_NESTING`` deep); arity-check it."""
     parser = _Parser(_tokenize(text), len(text))
     code = parser.code()
     if parser.peek() is not None:

@@ -3,6 +3,7 @@
 import io
 
 from copartial.cli import main
+from copartial.reccode import MAX_NESTING
 
 
 def run_cli(*argv):
@@ -105,3 +106,18 @@ class TestDeterminism:
         _, first, _ = run_cli("--machine", "check-laws", "--samples", "30")
         _, second, _ = run_cli("--machine", "check-laws", "--samples", "30")
         assert first == second
+
+
+class TestRejectedInput:
+    def test_negative_samples(self):
+        code, out, err = run_cli("--machine", "check-laws", "--samples", "-5")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_nesting_too_deep(self):
+        levels = MAX_NESTING + 1
+        code, out, err = run_cli("--machine", "eval", "C(S; " * levels + "Z" + ")" * levels, "3")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from copartial import Converged, Exhausted, delay_by, never, now, run_for
 from copartial.reccode import (
     CORPUS,
+    MAX_NESTING,
     Comp,
     IllFormed,
     Min,
@@ -162,3 +163,51 @@ class TestConcreteSyntax:
     def test_missing_delimiter(self):
         with pytest.raises(ParseError):
             parse_code("C(S P 1 1)")
+
+
+def _succ_tower(code, levels):
+    for _ in range(levels):
+        code = Comp(Succ(), (code,))
+    return code
+
+
+class TestArgumentsForcedOnce:
+    """Delayed arguments and shared inner results spend their steps once."""
+
+    def test_delayed_arguments_count_once(self):
+        d = evaluate(CORPUS["plus"], [delay_by(2, 3), delay_by(4, 2)])
+        assert run_for(d, FUEL) == Converged(6, 5)
+
+    def test_shared_inner_result_counts_once(self):
+        double = Comp(CORPUS["plus"], (Proj(1, 1), Proj(1, 1)))
+        d = evaluate(Comp(double, (CORPUS["ident_by_min"],)), [now(3)])
+        assert run_for(d, FUEL) == Converged(6, 3)
+
+    def test_primrec_over_a_stepping_base(self):
+        base = Comp(CORPUS["ident_by_min"], (Proj(1, 1),))
+        code = PrimRec(base, Comp(Succ(), (Proj(3, 3),)))
+        assert run_for(evaluate(code, [now(3), now(300)]), FUEL) == Converged(303, 3)
+
+    def test_deep_composition_tower(self):
+        code = _succ_tower(CORPUS["ident_by_min"], 400)
+        assert run_for(evaluate(code, [now(3)]), FUEL) == Converged(403, 3)
+
+
+class TestNestingBound:
+    # print_code(CORPUS["ident_by_min"]) nests its parentheses 5 deep.
+    LEVELS = MAX_NESTING - 5
+
+    def test_tower_at_the_bound_goes_through(self):
+        text = "C(S; " * self.LEVELS + print_code(CORPUS["ident_by_min"]) + ")" * self.LEVELS
+        code = parse_code(text)
+        assert code == _succ_tower(CORPUS["ident_by_min"], self.LEVELS)
+        assert print_code(code) == text
+        assert arity(code) == 1
+        assert oracle_eval(code, [3], 100_000) == 3 + self.LEVELS
+        assert run_for(evaluate(code, [now(3)]), FUEL) == Converged(3 + self.LEVELS, 3)
+
+    def test_one_level_more_is_a_parse_error(self):
+        levels = self.LEVELS + 1
+        text = "C(S; " * levels + print_code(CORPUS["ident_by_min"]) + ")" * levels
+        with pytest.raises(ParseError):
+            parse_code(text)
