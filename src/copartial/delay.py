@@ -3,8 +3,9 @@
 A ``Delay`` is either a value available now or one observable computation
 step followed by another ``Delay``.  All combinators here are productive:
 peeling a single constructor always terminates, so a fuel-bounded runner
-can observe any ``Delay`` safely.  Deferred computations must be pure;
-forcing is memoized, which is unobservable under that assumption.
+can observe any ``Delay`` safely; binds nested to any depth re-associate
+as they step, so a peel costs amortised O(1) host work and stack.
+Deferred computations must be pure: forcing is memoized.
 """
 
 from __future__ import annotations
@@ -176,19 +177,49 @@ def fmap(f: Callable[[A], B], x: Delay[A]) -> Delay[B]:
         return _NEVER
     if isinstance(x, Now):
         return Now(f(x.value))
-    return Later(lambda: fmap(f, x.rest()))
+    return bind(lambda a: Now(f(a)), x)
 
 
 def bind(f: Callable[[A], Delay[B]], x: Delay[A]) -> Delay[B]:
     """Sequence: run ``x``, then run ``f`` on its value.
 
-    Step counts add; if ``x`` diverges the result diverges.
+    Step counts add; if ``x`` diverges the result diverges.  Nested binds
+    re-associate when they are stepped, so each step costs amortised O(1)
+    host work and stack, however deeply the binds nest on either side.
     """
     if x is _NEVER:
         return _NEVER
     if isinstance(x, Now):
         return f(x.value)
-    return Later(lambda: bind(f, x.rest()))
+    return Later(_Bind((x, f)))
+
+
+class _Bind(tuple):
+    """The thunk ``(x, ks)`` of a ``Later`` made by ``bind``: one step of ``x``,
+    then the continuations ``ks``.  ``ks`` is a continuation or a pair of
+    such trees, whose leaves apply left to right; so a nested bind's
+    continuations are put in front of ``ks`` in O(1)."""
+
+    __slots__ = ()
+
+    def __call__(self) -> Delay:
+        x, ks = self
+        # Open unforced bind nodes, not force them: a left chain is walked once, not per step.
+        while type(x._thunk) is _Bind:
+            x, inner = x._thunk
+            ks = (inner, ks)
+        x = x.rest()
+        while isinstance(x, Now):
+            if ks is None:
+                return x
+            k, ks = ks, None
+            while type(k) is tuple:
+                k, then = k
+                ks = then if ks is None else (then, ks)
+            x = k(x.value)
+        if x is _NEVER or ks is None:
+            return x
+        return Later(_Bind((x, ks)))
 
 
 def strength(a: A, y: Delay[B]) -> Delay[tuple[A, B]]:
@@ -207,23 +238,10 @@ def strict_pair(x: Delay[A], y: Delay[B]) -> Delay[tuple[A, B]]:
 
 def strict_tuple(xs: Sequence[Delay[A]]) -> Delay[tuple[A, ...]]:
     """n-ary ``strict_pair``; the empty tuple converges immediately."""
-    items = tuple(xs)
-    if not items:
-        return Now(())
-    return _strict_tuple_from(items, 0, (), items[0])
-
-
-def _strict_tuple_from(
-    items: tuple[Delay[A], ...], i: int, acc: tuple, cur: Delay[A]
-) -> Delay[tuple[A, ...]]:
-    # ``acc`` holds the values of items[:i]; ``cur`` is what is left of items[i].
-    while isinstance(cur, Now):
-        acc += (cur.value,)
-        i += 1
-        if i == len(items):
-            return Now(acc)
-        cur = items[i]
-    return Later(lambda: _strict_tuple_from(items, i, acc, cur.rest()))
+    acc: Delay[tuple] = Now(())
+    for x in xs:
+        acc = bind(lambda t, x=x: fmap(lambda v: t + (v,), x), acc)
+    return acc
 
 
 def strict_proj(i: int, xs: Sequence[Delay[A]]) -> Delay[A]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 from typing import Callable, Tuple
 
-from .delay import Again, Delay, Done, _Cell, unfold
+from .delay import Delay, _Cell, bind, delay_by, later, now
 from .semantics import FAILS, HOLDS, Verdict, unknown
 
 __all__ = [
@@ -108,6 +108,8 @@ def observe(x: LazyNat, fuel: int) -> Tuple[int, Ended]:
     Reaching the zero constructor costs nothing; the count is the number
     of successors seen before the end or before the fuel ran out.
     """
+    if fuel < 0:
+        raise ValueError("fuel must be non-negative")
     succs = 0
     while True:
         if isinstance(x, _Zero):
@@ -135,6 +137,8 @@ def lazy_le(x: LazyNat, y: LazyNat, fuel: int) -> Verdict:
     left faces a zero on the right, which no rule can conclude
     (``Fails``).  One fuel per stripped constructor.
     """
+    if fuel < 0:
+        raise ValueError("fuel must be non-negative")
     spent = 0
     while True:
         if isinstance(x, _Zero):
@@ -249,51 +253,25 @@ def sloth_g(n: int) -> LazyNat:
     return _sloth_g(n)
 
 
-# Strict transcription: the same mutual recursion over Delay[int],
-# defunctionalized into a step machine so each observable step is O(1).
-# The stack is a cons list of frames.
-
-_EMPTY = None
-
-
-def _sloth_strict(entry: str, n: int) -> Delay[int]:
-    def machine(state):
-        task, stack = state
-        op = task[0]
-        if op == "call_f":
-            m = task[1]
-            if m == 0:
-                return Again((("ret", 0), stack))
-            return Again((("call_g", m - 1), (("f_after_g", m - 1), stack)))
-        if op == "call_g":
-            m = task[1]
-            if m == 0:
-                return Again((("ret", 0), stack))
-            return Again((("call_f", m - 1), (("g_after_f", m - 1), stack)))
-        v = task[1]
-        if stack is _EMPTY:
-            return Done(v)
-        frame, below = stack
-        tag = frame[0]
-        if tag == "f_after_g":
-            # v = g(m); still need f(v) + v
-            return Again((("call_f", v), (("add", v), below)))
-        if tag == "g_after_f":
-            m = frame[1]
-            if v <= m:
-                return Again((("call_g", v), (("add", m), below)))
-            return Again((("ret", 0), below))
-        # add
-        return Again((("ret", v + frame[1]), below))
-
-    return unfold(((entry, n), _EMPTY), machine)
+# Strict transcription over Delay[int]: a step per call and per return.
 
 
 def sloth_strict_f(n: int) -> Delay[int]:
     """Strict sloth f; diverges wherever full evaluation does."""
-    return _sloth_strict("call_f", n)
+    # f 0 = 0;  f (succ m) = f (g m) + g m
+    return later(lambda: now(0) if n == 0 else bind(
+        lambda v: _returned_plus(sloth_strict_f(v), v), sloth_strict_g(n - 1)))
 
 
 def sloth_strict_g(n: int) -> Delay[int]:
     """Strict sloth g; diverges at 14 where the lazy version answers."""
-    return _sloth_strict("call_g", n)
+    # g 0 = 0;  g (succ m) = g (f m) + m  if f m <= m,  else 0
+    m = n - 1
+    return later(lambda: now(0) if n == 0 else bind(
+        lambda v: _returned_plus(sloth_strict_g(v), m) if v <= m else delay_by(0, 1),
+        sloth_strict_f(m)))
+
+
+def _returned_plus(x: Delay[int], a: int) -> Delay[int]:
+    # Return into the pending caller, run ``x``, then return its value plus ``a``.
+    return later(lambda: bind(lambda w: delay_by(w + a, 1), x))

@@ -188,6 +188,8 @@ def oracle_eval(code: RecCode, args: Sequence[int], fuel: int) -> Optional[int]:
     Independent of the delay machinery: plain recursion over plain
     integers.  Returns the value, or ``None`` once the budget runs out.
     """
+    if fuel < 0:
+        raise ValueError("fuel must be non-negative")
     n = arity(code)
     vals = tuple(args)
     if len(vals) != n:

@@ -30,6 +30,13 @@ class TestEval:
         assert code == 2
         assert out == "EXHAUSTED fuel=100\n"
 
+    def test_primrec_over_a_stepping_base_2000_deep(self):
+        code, out, _ = run_cli("--machine", "eval",
+                               "R(C(M(R(P 1 1; C(C(R(Z; P 2 3); P 1 1, P 1 1); P 3 3))); P 1 1);"
+                               " C(S; P 3 3))", "3", "2000")
+        assert code == 0
+        assert out == "CONVERGED 2003 steps=3\n"
+
     def test_parse_error(self):
         code, out, err = run_cli("--machine", "eval", "C(S; Z, Z)")
         assert code == 1

@@ -172,3 +172,14 @@ class TestSlothStrict:
 def test_lazy_le_out_of_fuel_reports_the_fuel_given():
     assert str(lazy_le(omega(), omega(), 10)) == "Unknown(fuel_spent=10)"
     assert str(lazy_le(never_lazy(), lazy_of(1), 0)) == "Unknown(fuel_spent=0)"
+
+
+@pytest.mark.parametrize(
+    "run",
+    [lambda: observe(omega(), -1), lambda: observe(never_lazy(), -1),
+     lambda: lazy_le(omega(), omega(), -1)],
+    ids=["observe-omega", "observe-never", "lazy_le"],
+)
+def test_negative_fuel_is_rejected(run):
+    with pytest.raises(ValueError, match="fuel must be non-negative"):
+        run()

@@ -129,6 +129,10 @@ class TestAgainstOracle:
     def test_oracle_gives_up_on_divergence(self):
         assert oracle_eval(CORPUS["always_diverge"], [0], 10_000) is None
 
+    def test_oracle_rejects_negative_fuel(self):
+        with pytest.raises(ValueError, match="fuel must be non-negative"):
+            oracle_eval(CORPUS["plus"], [1, 2], -1)
+
 
 class TestConcreteSyntax:
     def test_round_trip_corpus(self):

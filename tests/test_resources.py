@@ -1,16 +1,32 @@
 """Host resources: deep recursion stays off the host stack, and a forced
 computation holds no more than its live state."""
 
+import ast
 import gc
 import weakref
+from pathlib import Path
 
 import pytest
 
-from copartial import Converged, later, now, run_for
+import copartial
+from copartial import Converged, Exhausted, bind, delay_by, fmap, later, now, run_for
 from copartial.fixpoint import factorial_operator, fix
-from copartial.lazy import ZERO, step, succ
+from copartial.lazy import ZERO, sloth_strict_g, step, succ
 from copartial.nested import DevilSpec, cps_fix, devil
-from copartial.reccode import CORPUS, evaluate
+from copartial.reccode import CORPUS, Comp, PrimRec, Proj, Succ, evaluate
+
+
+def left_chain(depth, x):
+    """``depth`` binds nested to the left over ``x``, each adding 1 after a step."""
+    for _ in range(depth):
+        x = bind(lambda v: delay_by(v + 1, 1), x)
+    return x
+
+
+def fmap_tower(depth, x):
+    for _ in range(depth):
+        x = fmap(lambda v: v + 1, x)
+    return x
 
 
 class TestDeepNesting:
@@ -28,6 +44,23 @@ class TestDeepNesting:
             r = run_for(devil(spec, a), 10_000)
             assert isinstance(r, Converged) and r.value == (4000 - a if a < 2000 else a), a
 
+    def test_left_nested_bind_depth_10000(self):
+        assert run_for(left_chain(10_000, delay_by(0, 2)), 20_000) == Converged(10_000, 10_002)
+
+    def test_fmap_tower_depth_10000(self):
+        assert run_for(fmap_tower(10_000, delay_by(7, 3)), 10) == Converged(10_007, 3)
+
+    def test_bind_onto_a_partly_run_chain(self):
+        partly = run_for(left_chain(5000, delay_by(0, 1)), 1234)
+        assert isinstance(partly, Exhausted)
+        rest = bind(lambda v: delay_by(2 * v, 1), partly.rest)
+        assert run_for(rest, 10_000) == Converged(10_000, 5001 - 1234 + 1)
+
+    def test_primrec_over_a_stepping_base_2000_deep(self):
+        base = Comp(CORPUS["ident_by_min"], (Proj(1, 1),))
+        code = PrimRec(base, Comp(Succ(), (Proj(3, 3),)))
+        assert run_for(evaluate(code, [now(3), now(2000)]), 10_000) == Converged(2003, 3)
+
 
 class _Token:
     pass
@@ -35,8 +68,13 @@ class _Token:
 
 @pytest.mark.parametrize(
     "make, force, result",
-    [(later, "rest", now(0)), (succ, "pred", ZERO), (step, "rest", ZERO)],
-    ids=["Later", "Succ", "Step"],
+    [
+        (later, "rest", now(0)),
+        (lambda thunk: bind(lambda _: thunk(), delay_by(0, 1)), "rest", now(0)),
+        (succ, "pred", ZERO),
+        (step, "rest", ZERO),
+    ],
+    ids=["Later", "bind", "Succ", "Step"],
 )
 def test_forced_cell_drops_its_thunk(make, force, result):
     token = _Token()
@@ -57,6 +95,36 @@ def test_runs_leave_no_cyclic_garbage():
             265252859812191058636308480000000, 32
         )
         assert run_for(evaluate(CORPUS["ident_by_min"], [now(5)]), 10_000) == Converged(5, 5)
+        assert run_for(left_chain(300, delay_by(0, 1)), 1000) == Converged(300, 301)
+        assert isinstance(run_for(sloth_strict_g(14), 5000), Exhausted)
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _self_naming_nested_functions(tree):
+    """Functions defined inside another function whose body names them."""
+    for outer in ast.walk(tree):
+        if not isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        for node in ast.walk(outer):
+            if node is not outer and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name, body = node.name, node
+            elif (isinstance(node, ast.Assign) and isinstance(node.value, ast.Lambda)
+                  and len(node.targets) == 1 and isinstance(node.targets[0], ast.Name)):
+                name, body = node.targets[0].id, node.value
+            else:
+                continue
+            if any(isinstance(n, ast.Name) and n.id == name for n in ast.walk(body)):
+                yield node.lineno, name
+
+
+def test_no_nested_function_names_itself():
+    # The condition ``delay._Cell`` states: a nested function that reaches
+    # itself forms a cycle with its closure cell, which keeps a whole
+    # computation alive until the cycle collector runs.
+    found = set()
+    for path in sorted(Path(copartial.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        found |= {f"{path.name}:{line} {name}" for line, name in _self_naming_nested_functions(tree)}
+    assert sorted(found) == []
