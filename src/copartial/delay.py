@@ -10,6 +10,7 @@ Deferred computations must be pure: forcing is memoized.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Any, Callable, Generic, Sequence, TypeVar, Union
 
@@ -293,10 +294,15 @@ def _dovetail(f: Callable[[int], Delay[B]], n: int, x: Delay[B]) -> Delay[B]:
     return Later(lambda: _dovetail(f, n + 1, race(x.rest(), f(n))))
 
 
+def _check_fuel(fuel: int) -> None:
+    # Fuel is a step count: ``TypeError`` unless an integer, ``ValueError`` if negative.
+    if operator.index(fuel) < 0:
+        raise ValueError("fuel must be non-negative")
+
+
 def run_for(x: Delay[A], fuel: int) -> RunResult[A]:
     """Peel at most ``fuel`` steps; report the value or the remainder."""
-    if fuel < 0:
-        raise ValueError("fuel must be non-negative")
+    _check_fuel(fuel)
     steps = 0
     while True:
         if isinstance(x, Now):

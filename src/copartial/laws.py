@@ -12,35 +12,38 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .delay import Delay, bind, delay_by, fmap, never, now, strength
+from .delay import Converged, Delay, bind, delay_by, fmap, never, now, run_for, strength
 from .semantics import FAILS, HOLDS, Verdict, bisim, unknown
 
 __all__ = ["DelayGen", "LawResult", "check_kleisli_laws", "check_strength_laws"]
+
+
+# The values a sampled delay converges to, and the most steps it takes.
+_VALUES = tuple(range(0, 50))
+_MAX_DELAY = 8
 
 
 @dataclass(frozen=True)
 class DelayGen:
     """Sampling distribution for test inputs.
 
-    Generates ``delay_by(a, k)`` with ``a`` drawn from ``values`` and
-    ``k <= max_delay``, plus the diverging element when enabled.
+    Generates ``delay_by(a, k)`` with ``a`` drawn from ``_VALUES`` and
+    ``k <= _MAX_DELAY``, plus the diverging element when enabled.
     """
 
-    values: Sequence[int] = tuple(range(0, 50))
-    max_delay: int = 8
     include_never: bool = False
 
     def sample(self, rng: random.Random) -> Delay[int]:
         if self.include_never and rng.random() < 0.1:
             return never()
-        return delay_by(rng.choice(self.values), rng.randint(0, self.max_delay))
+        return delay_by(rng.choice(_VALUES), rng.randint(0, _MAX_DELAY))
 
     def sample_value(self, rng: random.Random) -> int:
-        return rng.choice(self.values)
+        return rng.choice(_VALUES)
 
     def sample_fn(self, rng: random.Random) -> Callable[[int], Delay[int]]:
         """A pure step-padded function on naturals."""
-        pad = rng.randint(0, self.max_delay)
+        pad = rng.randint(0, _MAX_DELAY)
         base = rng.choice(
             (
                 lambda a: a + 1,
@@ -62,27 +65,10 @@ class LawResult:
     fails: int = 0
     counterexample: Optional[str] = None
 
-    def record(self, v: Verdict, describe: Callable[[], str]) -> None:
-        if v.is_fails():
-            self.fails += 1
-            if self.counterexample is None:
-                self.counterexample = describe()
-        elif v.is_holds():
-            self.holds += 1
-        else:
-            self.unknown += 1
-
-    def finish(self, fuel: int) -> "LawResult":
-        if self.fails:
-            self.verdict = FAILS
-        elif self.holds == 0:
-            self.verdict = unknown(fuel)
-        else:
-            self.verdict = HOLDS
-        return self
-
 
 BindImpl = Callable[[Callable[[int], Delay[int]], Delay[int]], Delay[int]]
+# One draw of a suite's inputs: per law, its two sides and a deferred counterexample.
+Sides = Callable[[random.Random], Sequence[tuple[Delay, Delay, Callable[[], str]]]]
 
 
 def check_kleisli_laws(
@@ -97,36 +83,23 @@ def check_kleisli_laws(
     ``bind_impl`` exists for mutation testing: substituting a broken
     extension operator must produce a ``Fails`` with a counterexample.
     """
-    rng = random.Random(seed)
-    right_unit = LawResult("kleisli-right-unit")
-    left_unit = LawResult("kleisli-left-unit")
-    assoc = LawResult("kleisli-associativity")
-    for _ in range(samples):
+
+    def sides(rng: random.Random):
         x = gen.sample(rng)
         a = gen.sample_value(rng)
         f = gen.sample_fn(rng)
         g = gen.sample_fn(rng)
+        return (
+            (bind_impl(now, x), x,
+             lambda: f"bind(now, x) !~ x for x={_shape(x, fuel)}"),
+            (bind_impl(f, now(a)), f(a),
+             lambda: f"bind(f, now({a})) !~ f({a})"),
+            (bind_impl(g, bind_impl(f, x)), bind_impl(lambda v: bind_impl(g, f(v)), x),
+             lambda: f"associativity broken at x={_shape(x, fuel)}"),
+        )
 
-        right_unit.record(
-            bisim(bind_impl(now, x), x, fuel),
-            lambda: f"bind(now, x) !~ x for x={_shape(x, fuel)}",
-        )
-        left_unit.record(
-            bisim(bind_impl(f, now(a)), f(a), fuel),
-            lambda: f"bind(f, now({a})) !~ f({a})",
-        )
-        assoc.record(
-            bisim(
-                bind_impl(g, bind_impl(f, x)),
-                bind_impl(lambda v: bind_impl(g, f(v)), x),
-                fuel,
-            ),
-            lambda: f"associativity broken at x={_shape(x, fuel)}",
-        )
-    return {
-        r.name: r.finish(fuel)
-        for r in (right_unit, left_unit, assoc)
-    }
+    names = ("kleisli-right-unit", "kleisli-left-unit", "kleisli-associativity")
+    return _check(names, sides, samples, fuel, seed)
 
 
 def check_strength_laws(
@@ -137,54 +110,57 @@ def check_strength_laws(
 ) -> dict[str, LawResult]:
     """Check the four strength equations, with multiplication taken as
     ``bind`` of the identity."""
-    rng = random.Random(seed)
-    unit_left = LawResult("strength-unit-projection")
-    assoc = LawResult("strength-associativity")
-    unit = LawResult("strength-unit")
-    mult = LawResult("strength-multiplication")
 
-    def join(zz: Delay[Delay[int]]) -> Delay[int]:
-        return bind(lambda z: z, zz)
-
-    for _ in range(samples):
+    def sides(rng: random.Random):
         y = gen.sample(rng)
         a = gen.sample_value(rng)
         b = gen.sample_value(rng)
+        zz = delay_by(y, rng.randint(0, _MAX_DELAY))
+        return (
+            (fmap(lambda p: p[1], strength((), y)), y,
+             lambda: f"projecting strength((), y) !~ y for y={_shape(y, fuel)}"),
+            (fmap(lambda p: (p[0][0], (p[0][1], p[1])), strength((a, b), y)),
+             strength(a, strength(b, y)),
+             lambda: f"associativity broken at a={a}, b={b}, y={_shape(y, fuel)}"),
+            (strength(a, now(b)), now((a, b)),
+             lambda: f"strength({a}, now({b})) !~ now(({a}, {b}))"),
+            (strength(a, _join(zz)),
+             _join(fmap(lambda p: strength(p[0], p[1]), strength(a, zz))),
+             lambda: f"multiplication law broken at a={a}, inner={_shape(y, fuel)}"),
+        )
 
-        unit_left.record(
-            bisim(fmap(lambda p: p[1], strength((), y)), y, fuel),
-            lambda: f"projecting strength((), y) !~ y for y={_shape(y, fuel)}",
-        )
-        assoc.record(
-            bisim(
-                fmap(lambda p: (p[0][0], (p[0][1], p[1])), strength((a, b), y)),
-                strength(a, strength(b, y)),
-                fuel,
-            ),
-            lambda: f"associativity broken at a={a}, b={b}, y={_shape(y, fuel)}",
-        )
-        unit.record(
-            bisim(strength(a, now(b)), now((a, b)), fuel),
-            lambda: f"strength({a}, now({b})) !~ now(({a}, {b}))",
-        )
-        zz = delay_by(y, rng.randint(0, gen.max_delay))
-        mult.record(
-            bisim(
-                strength(a, join(zz)),
-                join(fmap(lambda p: strength(p[0], p[1]), strength(a, zz))),
-                fuel,
-            ),
-            lambda: f"multiplication law broken at a={a}, inner={_shape(y, fuel)}",
-        )
-    return {
-        r.name: r.finish(fuel)
-        for r in (unit_left, assoc, unit, mult)
-    }
+    names = ("strength-unit-projection", "strength-associativity",
+             "strength-unit", "strength-multiplication")
+    return _check(names, sides, samples, fuel, seed)
+
+
+def _check(names: Sequence[str], sides: Sides, samples: int, fuel: int,
+           seed: int) -> dict[str, LawResult]:
+    # Draw ``samples`` inputs from one seeded generator and judge every law on
+    # each: a law fails on any refuted sample, holds once one holds, else is unknown.
+    rng = random.Random(seed)
+    results = [LawResult(name) for name in names]
+    for _ in range(samples):
+        for r, (lhs, rhs, describe) in zip(results, sides(rng)):
+            v = bisim(lhs, rhs, fuel)
+            if v.is_fails():
+                r.fails += 1
+                if r.counterexample is None:
+                    r.counterexample = describe()
+            elif v.is_holds():
+                r.holds += 1
+            else:
+                r.unknown += 1
+    for r in results:
+        r.verdict = FAILS if r.fails else HOLDS if r.holds else unknown(fuel)
+    return {r.name: r for r in results}
+
+
+def _join(zz: Delay[Delay[int]]) -> Delay[int]:
+    return bind(lambda z: z, zz)
 
 
 def _shape(x: Delay[int], fuel: int) -> str:
-    from .delay import Converged, run_for
-
     r = run_for(x, fuel)
     if isinstance(r, Converged):
         return f"delay_by({r.value}, {r.steps})"

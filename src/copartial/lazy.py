@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 from typing import Callable, Tuple
 
-from .delay import Delay, _Cell, bind, delay_by, later, now
+from .delay import Delay, _Cell, _check_fuel, bind, delay_by, later, now
 from .semantics import FAILS, HOLDS, Verdict, unknown
 
 __all__ = [
@@ -108,8 +108,7 @@ def observe(x: LazyNat, fuel: int) -> Tuple[int, Ended]:
     Reaching the zero constructor costs nothing; the count is the number
     of successors seen before the end or before the fuel ran out.
     """
-    if fuel < 0:
-        raise ValueError("fuel must be non-negative")
+    _check_fuel(fuel)
     succs = 0
     while True:
         if isinstance(x, _Zero):
@@ -137,8 +136,7 @@ def lazy_le(x: LazyNat, y: LazyNat, fuel: int) -> Verdict:
     left faces a zero on the right, which no rule can conclude
     (``Fails``).  One fuel per stripped constructor.
     """
-    if fuel < 0:
-        raise ValueError("fuel must be non-negative")
+    _check_fuel(fuel)
     spent = 0
     while True:
         if isinstance(x, _Zero):
@@ -180,77 +178,54 @@ def _drain(x: LazyNat) -> int:
     return n
 
 
-# Memo tables for the sloth pair, filled bottom-up.  Building level k
-# only ever consults levels below k: the guard of g(k) peels at most k+1
-# constructors of f(k-1), and whenever f(k-1)'s tail jumps to a higher
-# level the lower part already supplies more constructors than the guard
-# can ask for.  Higher levels are demanded only while observing a
-# result, when no level is under construction.
-_f_memo: dict = {}
-_g_memo: dict = {}
+# The sloth pair's levels, ``_F[k]`` = f(k) and ``_G[k]`` = g(k), built
+# bottom-up.  Building level k only ever consults levels below k: the guard
+# of g(k) peels at most k+1 constructors of f(k-1), and whenever f(k-1)'s
+# tail jumps to a higher level the lower part already supplies more
+# constructors than the guard can ask for.  Higher levels are demanded
+# only while observing a result, when no level is under construction.
+_F: list[LazyNat] = [ZERO]
+_G: list[LazyNat] = [ZERO]
 
 
-def _build_f(n: int) -> LazyNat:
-    # f 0 = 0;  f (succ n) = f (g n) + g n
-    if n == 0:
-        return ZERO
-    gn = _g_memo[n - 1]
-    # The recursive call's argument is the value of g(n-1).  It is only
-    # needed once gn's own constructors are exhausted, and at that point
-    # gn is known finite and can be drained.
-    return _plus_deferred(lambda: _sloth_f(_drain(gn)), gn)
-
-
-def _build_g(n: int) -> LazyNat:
-    # g 0 = 0;  g (succ m) = g (f m) + m  if f m <= m,  else 0
-    if n == 0:
-        return ZERO
-    m = n - 1
-    fm = _f_memo[m]
-    # fm and lazy_of(m) carry no step constructors, so the comparison is
-    # decided within m+1 strips: either fm runs out first (Holds) or its
-    # (m+1)-st successor surfaces against zero (Fails).  Refutation only
-    # peels finitely many constructors of fm, which is what lets g(14)
-    # answer although f(13) never finishes.
-    if lazy_le(fm, lazy_of(m), 2 * m + 2).is_holds():
-        return _plus_deferred(lambda: _sloth_g(_drain(fm)), lazy_of(m))
-    return ZERO
-
-
-def _build_upto(n: int) -> None:
+def _grow(n: int) -> None:
     # Iterative so that large levels, reached when a deep observation
-    # crosses into a tower's tail, do not nest host stack frames.
-    for k in range(n + 1):
-        if k not in _f_memo:
-            _f_memo[k] = _build_f(k)
-        if k not in _g_memo:
-            _g_memo[k] = _build_g(k)
-
-
-def _sloth_f(n: int) -> LazyNat:
-    if n not in _f_memo:
-        _build_upto(n)
-    return _f_memo[n]
-
-
-def _sloth_g(n: int) -> LazyNat:
-    if n not in _g_memo:
-        _build_upto(n)
-    return _g_memo[n]
+    # crosses into a tower's tail, do not nest host stack frames.  Each
+    # deferred tail binds its own level (a default argument), not the
+    # loop's last one.
+    while len(_F) <= n:
+        m = len(_F) - 1
+        fm, gm = _F[m], _G[m]
+        # f (succ m) = f (g m) + g m.  The recursive call's argument is the
+        # value of g(m).  It is only needed once gm's own constructors are
+        # exhausted, and at that point gm is known finite and can be drained.
+        _F.append(_plus_deferred(lambda gm=gm: sloth_f(_drain(gm)), gm))
+        # g (succ m) = g (f m) + m  if f m <= m,  else 0.  fm and lazy_of(m)
+        # carry no step constructors, so the comparison is decided within
+        # m+1 strips: either fm runs out first (Holds) or its (m+1)-st
+        # successor surfaces against zero (Fails).  Refutation only peels
+        # finitely many constructors of fm, which is what lets g(14) answer
+        # although f(13) never finishes.
+        if lazy_le(fm, lazy_of(m), 2 * m + 2).is_holds():
+            _G.append(_plus_deferred(lambda fm=fm: sloth_g(_drain(fm)), lazy_of(m)))
+        else:
+            _G.append(ZERO)
 
 
 def sloth_f(n: int) -> LazyNat:
     """Lazy evaluation of the first sloth function at a plain natural."""
     if n < 0:
         raise ValueError("lazy naturals are non-negative")
-    return _sloth_f(n)
+    _grow(n)
+    return _F[n]
 
 
 def sloth_g(n: int) -> LazyNat:
     """Lazy evaluation of the second sloth function at a plain natural."""
     if n < 0:
         raise ValueError("lazy naturals are non-negative")
-    return _sloth_g(n)
+    _grow(n)
+    return _G[n]
 
 
 # Strict transcription over Delay[int]: a step per call and per return.

@@ -1,10 +1,12 @@
 """Nested recursive functions encoded as delayed computations.
 
 Nested recursion (a recursive call applied to the result of another
-recursive call) is flattened with an accumulation counter that tracks
-how many applications are still pending.  When a post-processing
-function wraps the recursive call, a second counter tracks how many of
-its applications are pending; they are applied together at the base.
+recursive call) needs no machinery of its own: the devil's nest is its
+defining equation written with ``bind`` and ``fmap``, one step per
+unfolding and one per return into a pending outer call.  ``cnest``
+flattens ``nest`` with a counter of pending applications, and
+``cps_fix``, whose single recursion leaves only post-maps pending,
+counts those.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Generic, TypeVar
 
-from .delay import Delay, later, now
+from .delay import Delay, bind, fmap, later, now
 
 A = TypeVar("A")
 
@@ -51,29 +53,16 @@ def nest(n: int) -> Delay[int]:
     return cnest(n, 1)
 
 
-def devil(spec: DevilSpec[A], a: A, nesting: int = 1) -> Delay[A]:
-    """The devil's nest: doubly-nested recursion with a post-map.
+def devil(spec: DevilSpec[A], a: A) -> Delay[A]:
+    """The devil's nest ``d(a) = g(a) if in_base(a) else h(d(d(i(a))))``.
 
-    ``nesting`` is the number of extra pending recursive applications
-    opened by one unfolding (1 for the doubly-nested form).  Pending
-    applications are counted rather than nested, and so are the pending
-    applications of the post-map ``h``: one per unfolding, all applied
-    to the final base value.
+    One step per unfolding and one per return of the inner call into the
+    pending outer one; ``bind`` keeps the pending calls and post-maps.
     """
-    return _devil_from(spec, nesting, 0, 0, a)
-
-
-def _devil_from(spec: DevilSpec[A], nesting: int, hs: int, m: int, x: A) -> Delay[A]:
-    # ``m`` recursive applications and ``hs`` applications of ``h`` are
-    # still pending on top of ``d(x)``.
-    if spec.in_base(x):
-        gx = spec.g(x)
-        if m == 0:
-            for _ in range(hs):
-                gx = spec.h(gx)
-            return now(gx)
-        return later(lambda: _devil_from(spec, nesting, hs, m - 1, gx))
-    return later(lambda: _devil_from(spec, nesting, hs + 1, m + nesting, spec.i(x)))
+    if spec.in_base(a):
+        return now(spec.g(a))
+    return later(lambda: fmap(spec.h, bind(
+        lambda v: later(lambda: devil(spec, v)), devil(spec, spec.i(a)))))
 
 
 def cps_fix(
@@ -83,9 +72,22 @@ def cps_fix(
     h: Callable[[A], A],
     a: A,
 ) -> Delay[A]:
-    """``d(a) = g(a) if in_base(a) else h(d(i(a)))``: a devil's nest that
-    opens no extra pending application."""
-    return devil(DevilSpec(in_base, i, g, h), a, nesting=0)
+    """``d(a) = g(a) if in_base(a) else h(d(i(a)))``, one step per unfolding.
+
+    Single recursion leaves nothing pending but applications of ``h``, so
+    they are counted and applied to the base value.
+    """
+    return _cps_from(DevilSpec(in_base, i, g, h), 0, a)
+
+
+def _cps_from(spec: DevilSpec[A], hs: int, x: A) -> Delay[A]:
+    # ``hs`` applications of ``h`` are still pending on top of ``d(x)``.
+    if spec.in_base(x):
+        gx = spec.g(x)
+        for _ in range(hs):
+            gx = spec.h(gx)
+        return now(gx)
+    return later(lambda: _cps_from(spec, hs + 1, spec.i(x)))
 
 
 def mccarthy91_devil_spec() -> DevilSpec[int]:

@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-from .delay import Delay, bind, later, now, strict_tuple
+from .delay import Delay, _check_fuel, bind, later, now, strict_tuple
 
 __all__ = [
     "RecCode",
@@ -146,9 +146,7 @@ def _eval(code: RecCode, vs: tuple[int, ...]) -> Delay[int]:
         for k in range(vs[-1]):
             acc = bind(lambda a, k=k: _eval(code.g, head + (k, a)), acc)
         return acc
-    if isinstance(code, Min):
-        return _eval_min(code, vs)
-    raise IllFormed("top", f"unknown code node {code!r}")
+    return _eval_min(code, vs)
 
 
 def _eval_comp(code: Comp, vs: tuple[int, ...], ys: tuple[int, ...]) -> Delay[int]:
@@ -188,8 +186,7 @@ def oracle_eval(code: RecCode, args: Sequence[int], fuel: int) -> Optional[int]:
     Independent of the delay machinery: plain recursion over plain
     integers.  Returns the value, or ``None`` once the budget runs out.
     """
-    if fuel < 0:
-        raise ValueError("fuel must be non-negative")
+    _check_fuel(fuel)
     n = arity(code)
     vals = tuple(args)
     if len(vals) != n:
@@ -217,12 +214,10 @@ def _oracle(code: RecCode, xs: Tuple[int, ...], budget: _Budget) -> int:
         for k in range(y):
             acc = _oracle(code.g, head + (k, acc), budget)
         return acc
-    if isinstance(code, Min):
-        y = 0
-        while _oracle(code.f, xs + (y,), budget) != 0:
-            y += 1
-        return y
-    raise IllFormed("top", f"unknown code node {code!r}")
+    y = 0
+    while _oracle(code.f, xs + (y,), budget) != 0:
+        y += 1
+    return y
 
 
 _TOKEN = re.compile(r"\s*(Z|S|P|C|R|M|\(|\)|;|,|\d+)")

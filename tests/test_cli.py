@@ -101,6 +101,19 @@ class TestCheckLaws:
         assert all(line.startswith("LAW ") for line in lines)
         assert all(" Holds " in line for line in lines)
 
+    def test_samples_30_output(self):
+        code, out, _ = run_cli("--machine", "check-laws", "--samples", "30")
+        assert code == 0
+        assert out == (
+            "LAW kleisli-right-unit Holds holds=26 unknown=4\n"
+            "LAW kleisli-left-unit Holds holds=30 unknown=0\n"
+            "LAW kleisli-associativity Holds holds=26 unknown=4\n"
+            "LAW strength-unit-projection Holds holds=27 unknown=3\n"
+            "LAW strength-associativity Holds holds=27 unknown=3\n"
+            "LAW strength-unit Holds holds=30 unknown=0\n"
+            "LAW strength-multiplication Holds holds=27 unknown=3\n"
+        )
+
 
 class TestDeterminism:
     def test_demos_byte_identical_across_runs(self):

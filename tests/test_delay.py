@@ -24,6 +24,8 @@ from copartial import (
     strict_tuple,
     unfold,
 )
+from copartial.lazy import lazy_le, lazy_of, observe
+from copartial.reccode import CORPUS, oracle_eval
 from tests.conftest import finite_delays
 
 
@@ -63,6 +65,21 @@ class TestConstructors:
     def test_run_for_rejects_negative_fuel(self):
         with pytest.raises(ValueError):
             run_for(now(1), -1)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [lambda: run_for(delay_by(1, 2), 2.5),
+     lambda: observe(lazy_of(2), 2.5),
+     lambda: lazy_le(lazy_of(1), lazy_of(2), 2.5),
+     lambda: oracle_eval(CORPUS["plus"], [1, 2], 2.5)],
+    ids=["run_for", "observe", "lazy_le", "oracle_eval"],
+)
+def test_non_integer_fuel_is_rejected(run):
+    # Fuel is compared with ``==`` as it is spent: a fractional fuel would
+    # never run out on a divergent input.
+    with pytest.raises(TypeError):
+        run()
 
 
 class TestUnfold:

@@ -2,6 +2,8 @@
 
 from functools import lru_cache
 
+import pytest
+
 from copartial import Converged, Exhausted, bisim, run_for, unfold, Again, Done
 from copartial.nested import DevilSpec, cnest, cps_fix, devil, mccarthy91_devil_spec
 
@@ -10,6 +12,34 @@ FUEL = 10_000
 
 def m91(n):
     return n - 10 if n > 100 else 91
+
+
+def devil_oracle(spec):
+    """Memoised plain recursion for ``spec``: ``a -> (d(a), steps)``, with one
+    step per unfolding and one per return into the pending outer call."""
+
+    @lru_cache(maxsize=None)
+    def d(a):
+        if spec.in_base(a):
+            return spec.g(a), 0
+        v, inner = d(spec.i(a))
+        w, outer = d(v)
+        return spec.h(w), inner + outer + 2
+
+    return d
+
+
+# Post-maps that do not commute with ``d`` on base values.
+NON_IDENTITY_SPECS = {
+    "ten-times": DevilSpec(in_base=lambda x: x >= 3, i=lambda x: x + 1,
+                           g=lambda x: x + 5, h=lambda x: 10 * x),
+    "double-plus-seven": DevilSpec(in_base=lambda x: x >= 4, i=lambda x: x + 1,
+                                   g=lambda x: 2 * x, h=lambda x: x + 7),
+    "mccarthy-plus-one": DevilSpec(in_base=lambda n: n > 100, i=lambda n: n + 11,
+                                   g=lambda n: n - 10, h=lambda n: n + 1),
+    "halving": DevilSpec(in_base=lambda x: x >= 5, i=lambda x: x + 3,
+                         g=lambda x: x // 2 + 4, h=lambda x: max(0, x - 1)),
+}
 
 
 @lru_cache(maxsize=None)
@@ -56,6 +86,21 @@ class TestDevil:
     def test_base_case_is_immediate(self):
         spec = mccarthy91_devil_spec()
         assert run_for(devil(spec, 200), FUEL) == Converged(190, 0)
+
+    def test_post_map_applies_to_each_return(self):
+        # d(a) = h(d(d(i(a)))): the inner call's h applies before the outer
+        # call runs on its value, so h need not commute with d.
+        spec = NON_IDENTITY_SPECS["ten-times"]
+        runs = [run_for(devil(spec, a), FUEL) for a in range(4)]
+        assert runs == [Converged(13550, 6), Converged(1350, 4), Converged(130, 2),
+                        Converged(8, 0)]
+
+    @pytest.mark.parametrize("name", sorted(NON_IDENTITY_SPECS))
+    def test_matches_plain_recursion(self, name):
+        spec = NON_IDENTITY_SPECS[name]
+        d = devil_oracle(spec)
+        for a in range(12):
+            assert run_for(devil(spec, a), FUEL) == Converged(*d(a)), a
 
     def test_never_in_base_diverges(self):
         spec = DevilSpec(
