@@ -4,7 +4,8 @@ A ``Delay`` is either a value available now or one observable computation
 step followed by another ``Delay``.  All combinators here are productive:
 peeling a single constructor always terminates, so a fuel-bounded runner
 can observe any ``Delay`` safely; binds nested to any depth re-associate
-as they step, so a peel costs amortised O(1) host work and stack.
+as they step, so a peel costs amortised O(1) host work and stack.  A bind
+node has the class of the step it runs, so tagged steps keep their tags.
 Deferred computations must be pure: forcing is memoized.
 """
 
@@ -174,6 +175,7 @@ def unfold(seed: S, step: Callable[[S], Union[Again[S], Done[B]]]) -> Delay[B]:
 
 def fmap(f: Callable[[A], B], x: Delay[A]) -> Delay[B]:
     """Apply a pure function under the steps; step count is preserved."""
+    # Not left to ``bind``: ``fix`` maps over many never iterates, and this skips a closure.
     if x is _NEVER:
         return _NEVER
     if isinstance(x, Now):
@@ -187,19 +189,20 @@ def bind(f: Callable[[A], Delay[B]], x: Delay[A]) -> Delay[B]:
     Step counts add; if ``x`` diverges the result diverges.  Nested binds
     re-associate when they are stepped, so each step costs amortised O(1)
     host work and stack, however deeply the binds nest on either side.
+    A bind node keeps the class of the head whose step it runs.
     """
     if x is _NEVER:
         return _NEVER
     if isinstance(x, Now):
         return f(x.value)
-    return Later(_Bind((x, f)))
+    return type(x)(_Bind((x, f)))
 
 
 class _Bind(tuple):
-    """The thunk ``(x, ks)`` of a ``Later`` made by ``bind``: one step of ``x``,
-    then the continuations ``ks``.  ``ks`` is a continuation or a pair of
-    such trees, whose leaves apply left to right; so a nested bind's
-    continuations are put in front of ``ks`` in O(1)."""
+    """The thunk ``(x, ks)`` of a node made by ``bind``, of ``x``'s class:
+    one step of ``x``, then the continuations ``ks``.  ``ks`` is a
+    continuation or a pair of such trees, whose leaves apply left to right;
+    so a nested bind's continuations are put in front of ``ks`` in O(1)."""
 
     __slots__ = ()
 
@@ -220,7 +223,7 @@ class _Bind(tuple):
             x = k(x.value)
         if x is _NEVER or ks is None:
             return x
-        return Later(_Bind((x, ks)))
+        return type(x)(_Bind((x, ks)))
 
 
 def strength(a: A, y: Delay[B]) -> Delay[tuple[A, B]]:

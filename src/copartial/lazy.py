@@ -1,9 +1,11 @@
 """Lazy partial naturals: observe part of a result before it is done.
 
-``LazyNat`` interleaves an explicit computation-step constructor with
-the ordinary zero/successor constructors, so a diverging computation can
-still reveal finitely many successors.  The sloth example shows the
-payoff: its lazy version answers where the strict delay version loops.
+A lazy natural is a ``Delay`` with tagged steps: a successor is a
+``Later`` subclass, a plain computation step is a ``Later``, and zero is
+``Now(None)``.  So a diverging computation can still reveal finitely many
+successors, and ``lazy_plus`` is ``bind``, which keeps each step's tag.
+The sloth example shows the payoff: its lazy version answers where the
+strict delay version loops.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import enum
 from typing import Callable, Tuple
 
-from .delay import Delay, _Cell, _check_fuel, bind, delay_by, later, now
+from .delay import Delay, Later, Now, _check_fuel, bind, delay_by, later, never, now
 from .semantics import FAILS, HOLDS, Verdict, unknown
 
 __all__ = [
@@ -33,53 +35,30 @@ __all__ = [
 ]
 
 
-class LazyNat:
+LazyNat = Delay
+
+
+class _Succ(Later):
     __slots__ = ()
 
-
-class _Zero(LazyNat):
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "Zero"
-
-
-class _Succ(_Cell, LazyNat):
-    __slots__ = ()
-
-    pred = _Cell.force
+    pred = Later.rest
 
     def __repr__(self) -> str:
         return "Succ(...)"
 
 
-class _Step(_Cell, LazyNat):
-    __slots__ = ()
-
-    rest = _Cell.force
-
-    def __repr__(self) -> str:
-        return "Step(...)"
-
-
-ZERO: LazyNat = _Zero()
+ZERO: LazyNat = Now(None)
 
 
 def succ(thunk: Callable[[], LazyNat]) -> LazyNat:
     return _Succ(thunk)
 
 
-def step(thunk: Callable[[], LazyNat]) -> LazyNat:
-    return _Step(thunk)
-
-
-_NEVER_LAZY = _Step.knot()
+# A plain step, and the lazy natural of plain steps only (all steps, no
+# information), are the delay monad's own.
+step = later
+never_lazy = never
 _OMEGA = _Succ.knot()
-
-
-def never_lazy() -> LazyNat:
-    """All steps, no information: the silently diverging lazy natural."""
-    return _NEVER_LAZY
 
 
 def omega() -> LazyNat:
@@ -111,21 +90,20 @@ def observe(x: LazyNat, fuel: int) -> Tuple[int, Ended]:
     _check_fuel(fuel)
     succs = 0
     while True:
-        if isinstance(x, _Zero):
+        if isinstance(x, Now):
             return succs, Ended.ZERO
         if fuel == 0:
             return succs, Ended.EXHAUSTED
         fuel -= 1
         if isinstance(x, _Succ):
             succs += 1
-            x = x.pred()
-        else:
-            x = x.rest()
+        x = x.rest()
 
 
 def lazy_plus(x: LazyNat, y: LazyNat) -> LazyNat:
-    """Addition by corecursion on the right argument."""
-    return _plus_deferred(lambda: x, y)
+    """Addition by corecursion on the right argument; a ``bind``, so sums
+    nested to any depth on either side re-associate as they are observed."""
+    return bind(lambda _: x, y)
 
 
 def lazy_le(x: LazyNat, y: LazyNat, fuel: int) -> Verdict:
@@ -139,48 +117,34 @@ def lazy_le(x: LazyNat, y: LazyNat, fuel: int) -> Verdict:
     _check_fuel(fuel)
     spent = 0
     while True:
-        if isinstance(x, _Zero):
+        if isinstance(x, Now):
             return HOLDS
-        if isinstance(x, _Succ) and isinstance(y, _Zero):
+        if isinstance(x, _Succ) and isinstance(y, Now):
             return FAILS
         if spent == fuel:
             return unknown(fuel)
         spent += 1
-        if isinstance(x, _Step):
+        if not isinstance(x, _Succ):
             x = x.rest()
-        elif isinstance(y, _Step):
+        elif not isinstance(y, _Succ):
             y = y.rest()
         else:
-            x, y = x.pred(), y.pred()
-
-
-def _plus_deferred(xt: Callable[[], LazyNat], y: LazyNat) -> LazyNat:
-    # Addition whose left summand stays a thunk until the right one is
-    # used up.  The host language is strict, so without this the mutual
-    # recursion below would unfold its whole call tree up front and
-    # diverge exactly where the strict transcription does.
-    if isinstance(y, _Zero):
-        return xt()
-    if isinstance(y, _Succ):
-        return _Succ(lambda: _plus_deferred(xt, y.pred()))
-    return _Step(lambda: _plus_deferred(xt, y.rest()))
+            x, y = x.rest(), y.rest()
 
 
 def _drain(x: LazyNat) -> int:
     # Read off the value of a lazy natural known to end in zero.
     n = 0
-    while not isinstance(x, _Zero):
+    while not isinstance(x, Now):
         if isinstance(x, _Succ):
             n += 1
-            x = x.pred()
-        else:
-            x = x.rest()
+        x = x.rest()
     return n
 
 
 # The sloth pair's levels, ``_F[k]`` = f(k) and ``_G[k]`` = g(k), built
 # bottom-up.  Building level k only ever consults levels below k: the guard
-# of g(k) peels at most k+1 constructors of f(k-1), and whenever f(k-1)'s
+# of g(k) peels at most k-1 constructors of f(k-1), and whenever f(k-1)'s
 # tail jumps to a higher level the lower part already supplies more
 # constructors than the guard can ask for.  Higher levels are demanded
 # only while observing a result, when no level is under construction.
@@ -199,15 +163,15 @@ def _grow(n: int) -> None:
         # f (succ m) = f (g m) + g m.  The recursive call's argument is the
         # value of g(m).  It is only needed once gm's own constructors are
         # exhausted, and at that point gm is known finite and can be drained.
-        _F.append(_plus_deferred(lambda gm=gm: sloth_f(_drain(gm)), gm))
-        # g (succ m) = g (f m) + m  if f m <= m,  else 0.  fm and lazy_of(m)
-        # carry no step constructors, so the comparison is decided within
-        # m+1 strips: either fm runs out first (Holds) or its (m+1)-st
-        # successor surfaces against zero (Fails).  Refutation only peels
-        # finitely many constructors of fm, which is what lets g(14) answer
-        # although f(13) never finishes.
-        if lazy_le(fm, lazy_of(m), 2 * m + 2).is_holds():
-            _G.append(_plus_deferred(lambda fm=fm: sloth_g(_drain(fm)), lazy_of(m)))
+        _F.append(bind(lambda _, gm=gm: sloth_f(_drain(gm)), gm))
+        # g (succ m) = g (f m) + m  if f m <= m,  else 0.  The sloth builds
+        # no plain steps, so m peels of fm either reach its end, with v = f m,
+        # or leave a successor more (f m > m).  Refutation only peels finitely
+        # many constructors of fm, which lets g(14) answer although f(13)
+        # never finishes.
+        v, ended = observe(fm, m)
+        if ended is Ended.ZERO:
+            _G.append(bind(lambda _, v=v: sloth_g(v), lazy_of(m)))
         else:
             _G.append(ZERO)
 

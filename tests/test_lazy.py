@@ -136,6 +136,19 @@ class TestSloth:
         for n in range(14):
             assert observe(sloth_g(n), 2000) == (G(n), Ended.ZERO), n
 
+    def test_levels_beyond_the_classical_range(self):
+        # Past the range checked against the classical recursion: the
+        # values observed under fuel 300 (``None``: still producing).
+        f = {14: 0, 15: 0, 16: 14, 17: 15, 18: 30, 19: None,
+             20: 0, 21: 0, 22: 20, 23: 21, 24: 42}
+        g = {15: 14, 16: 15, 17: 16, 18: 31, 19: 0, 20: 0, 21: 20, 22: 21,
+             23: 22, 24: 43, 25: 0, 26: 0, 27: 26, 28: 27, 29: 28}
+        for n, v in f.items():
+            want = (300, Ended.EXHAUSTED) if v is None else (v, Ended.ZERO)
+            assert observe(sloth_f(n), 300) == want, n
+        for n, v in g.items():
+            assert observe(sloth_g(n), 300) == (v, Ended.ZERO), n
+
     def test_g14_answers_lazily(self):
         # the guard f(13) <= 13 is refuted after finitely many
         # constructors even though f(13) itself never finishes

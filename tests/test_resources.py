@@ -11,7 +11,7 @@ import pytest
 import copartial
 from copartial import Converged, Exhausted, bind, delay_by, fmap, later, now, run_for
 from copartial.fixpoint import factorial_operator, fix
-from copartial.lazy import ZERO, sloth_strict_g, step, succ
+from copartial.lazy import ZERO, Ended, lazy_of, lazy_plus, observe, sloth_strict_g, step, succ
 from copartial.nested import DevilSpec, cps_fix, devil
 from copartial.reccode import CORPUS, Comp, PrimRec, Proj, Succ, evaluate
 
@@ -56,6 +56,18 @@ class TestDeepNesting:
         rest = bind(lambda v: delay_by(2 * v, 1), partly.rest)
         assert run_for(rest, 10_000) == Converged(10_000, 5001 - 1234 + 1)
 
+    def test_right_nested_lazy_sum_20000_deep(self):
+        s = lazy_of(1)
+        for _ in range(20_000):
+            s = lazy_plus(lazy_of(1), s)
+        assert observe(s, 10**6) == (20_001, Ended.ZERO)
+
+    def test_left_nested_lazy_sum_20000_deep(self):
+        s = lazy_of(1)
+        for _ in range(20_000):
+            s = lazy_plus(s, lazy_of(1))
+        assert observe(s, 10**6) == (20_001, Ended.ZERO)
+
     def test_primrec_over_a_stepping_base_2000_deep(self):
         base = Comp(CORPUS["ident_by_min"], (Proj(1, 1),))
         code = PrimRec(base, Comp(Succ(), (Proj(3, 3),)))
@@ -73,8 +85,9 @@ class _Token:
         (lambda thunk: bind(lambda _: thunk(), delay_by(0, 1)), "rest", now(0)),
         (succ, "pred", ZERO),
         (step, "rest", ZERO),
+        (lambda thunk: lazy_plus(ZERO, succ(thunk)), "pred", ZERO),
     ],
-    ids=["Later", "bind", "Succ", "Step"],
+    ids=["Later", "bind", "Succ", "Step", "plus"],
 )
 def test_forced_cell_drops_its_thunk(make, force, result):
     token = _Token()
