@@ -4,8 +4,9 @@ A ``Delay`` is either a value available now or one observable computation
 step followed by another ``Delay``.  All combinators here are productive:
 peeling a single constructor always terminates, so a fuel-bounded runner
 can observe any ``Delay`` safely; binds nested to any depth re-associate
-as they step, so a peel costs amortised O(1) host work and stack.  A bind
-node has the class of the step it runs, so tagged steps keep their tags.
+as they step, so a peel costs amortised O(1) host work and stack, and a
+race round O(live racers), with no host nesting.  A bind node has the class
+of the step it runs, so tagged steps keep their tags.
 Deferred computations must be pure: forcing is memoized.
 """
 
@@ -154,7 +155,7 @@ def never() -> Delay[Any]:
 
 def delay_by(value: A, steps: int) -> Delay[A]:
     """``value`` behind exactly ``steps`` computation steps."""
-    if steps < 0:
+    if operator.index(steps) < 0:
         raise ValueError("steps must be non-negative")
     if steps == 0:
         return Now(value)
@@ -261,24 +262,12 @@ def strict_proj(i: int, xs: Sequence[Delay[A]]) -> Delay[A]:
 
 
 def race(x: Delay[B], y: Delay[B]) -> Delay[B]:
-    """First of two computations to converge; left-biased on ties.
+    """First of two computations to converge; ``x`` wins a tie.
 
-    Converges iff either argument converges.  Note that this is the one
-    combinator that does not respect weak bisimilarity: if the arguments
-    converge to different values the winner depends on step counts.
-    Callers (the fixed-point search) must only race compatible arguments.
+    Converges iff either argument converges.  The left bias is entry
+    order, as in ``parallel_search``, whose caveat applies here too.
     """
-    if isinstance(x, Now):
-        return x
-    if isinstance(y, Now):
-        return y
-    # The canonical never is its own tail, so it can be dropped from the
-    # race without changing any observable step.
-    if x is _NEVER:
-        return y
-    if y is _NEVER:
-        return x
-    return Later(lambda: race(x.rest(), y.rest()))
+    return _race((x, y), None, 0)
 
 
 def parallel_search(f: Callable[[int], Delay[B]]) -> Delay[B]:
@@ -286,15 +275,25 @@ def parallel_search(f: Callable[[int], Delay[B]]) -> Delay[B]:
 
     ``f(n)`` joins the race after ``n + 1`` outer steps, so the search
     emits one step per round even when every entrant is still stepping.
+    The first entrant to converge wins, the earliest entered on a tie.
+    Racing is the one combinator here that breaks weak bisimilarity, so
+    callers (``fix``) must only race entrants with compatible values.
     """
-    return _dovetail(f, 0, _NEVER)
+    return _race((), f, 0)
 
 
-def _dovetail(f: Callable[[int], Delay[B]], n: int, x: Delay[B]) -> Delay[B]:
-    # ``x`` races the entrants f(0) .. f(n-1); f(n) joins in the next round.
-    if isinstance(x, Now):
-        return x
-    return Later(lambda: _dovetail(f, n + 1, race(x.rest(), f(n))))
+def _race(xs: Sequence[Delay[B]], f: Callable[[int], Delay[B]] | None, n: int) -> Delay[B]:
+    # One round over the racers ``xs`` in entry order; ``f(n)`` enters the next one.
+    # The canonical never is its own tail, so it drops out without changing any step.
+    live = []
+    for x in xs:
+        if isinstance(x, Now):
+            return x
+        if x is not _NEVER:
+            live.append(x)
+    if f is None and len(live) < 2:
+        return live[0] if live else _NEVER
+    return Later(lambda: _race([x.rest() for x in live] + ([f(n)] if f else []), f, n + 1))
 
 
 def _check_fuel(fuel: int) -> None:

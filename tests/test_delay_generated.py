@@ -1,16 +1,20 @@
 """The monad's combinators against a plain reference on generated trees.
 
 A tree mixes ``delay_by``, ``never``, binds nested to the left and to the
-right, ``fmap``, ``strict_tuple``, long left-nested bind chains, and a
-bind onto the remainder of a node that was partly run and is then used
-again.  The reference computes ``(value, steps)`` with plain integers, or
-``None`` where the tree diverges.
+right, ``fmap``, ``strict_tuple``, long left-nested bind chains, a bind
+onto the remainder of a node that was partly run and is then used again,
+``race`` and ``parallel_search``.  The reference computes ``(value,
+steps)`` with plain integers, or ``None`` where the tree diverges; for the
+races it pins the exact step count and the left bias.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from copartial import Converged, Exhausted, bind, delay_by, fmap, never, now, run_for, strict_tuple
+from copartial import (
+    Converged, Exhausted, bind, delay_by, fmap, never, now, parallel_search, race, run_for,
+    strict_tuple,
+)
 
 DIVERGENCE_FUEL = 2000
 
@@ -26,6 +30,8 @@ def _extend(trees):
         st.tuples(st.just("tuple"), st.lists(trees, max_size=3).map(tuple)),
         st.tuples(st.just("chain"), trees, st.integers(0, 2000)),
         st.tuples(st.just("rest"), trees, st.integers(0, 6)),
+        st.tuples(st.just("race"), trees, trees),
+        st.tuples(st.just("search"), st.lists(trees, max_size=3).map(tuple)),
     )
 
 
@@ -53,6 +59,11 @@ def build(t):
         for i in range(t[2]):
             x = bind(lambda v, i=i: delay_by(v + 1, i % 2), x)
         return x
+    if kind == "race":
+        return race(build(t[1]), build(t[2]))
+    if kind == "search":
+        entrants = t[1]
+        return parallel_search(lambda n: build(entrants[n]) if n < len(entrants) else never())
     # "rest": run a node partly, bind onto what is left, and use the node again.
     x = build(t[1])
     r = run_for(x, t[2])
@@ -72,6 +83,20 @@ def reference(t):
         if None in parts:
             return None
         return sum(v for v, _ in parts), sum(s for _, s in parts)
+    if kind == "race":
+        # Either side may diverge; the left side wins a tie.
+        a, b = reference(t[1]), reference(t[2])
+        if a is None or b is None:
+            return b if a is None else a
+        return a if a[1] <= b[1] else b
+    if kind == "search":
+        # Entrant n joins after n + 1 steps; the earliest entered wins a tie.
+        parts = [reference(u) for u in t[1]]
+        wins = [(p[1] + n + 1, n, p[0]) for n, p in enumerate(parts) if p is not None]
+        if not wins:
+            return None
+        steps, _, value = min(wins)
+        return value, steps
     inner = reference(t[1])
     if inner is None:
         return None

@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import copartial
-from copartial import Converged, Exhausted, bind, delay_by, fmap, later, now, run_for
+from copartial import (
+    Converged, Exhausted, bind, delay_by, fmap, later, now, parallel_search, run_for,
+)
 from copartial.fixpoint import factorial_operator, fix
 from copartial.lazy import ZERO, Ended, lazy_of, lazy_plus, observe, sloth_strict_g, step, succ
 from copartial.nested import DevilSpec, cps_fix, devil
@@ -27,6 +29,11 @@ def fmap_tower(depth, x):
     for _ in range(depth):
         x = fmap(lambda v: v + 1, x)
     return x
+
+
+def stepping_search(n):
+    """A search whose entrants below ``n`` are all still stepping when ``n`` wins."""
+    return parallel_search(lambda k: delay_by(k, 10**6) if k < n else now(k))
 
 
 class TestDeepNesting:
@@ -73,6 +80,10 @@ class TestDeepNesting:
         code = PrimRec(base, Comp(Succ(), (Proj(3, 3),)))
         assert run_for(evaluate(code, [now(3), now(2000)]), 10_000) == Converged(2003, 3)
 
+    def test_parallel_search_1000_live_entrants(self):
+        # Entrant n < 1000 keeps stepping; every round advances all of them.
+        assert run_for(stepping_search(1000), 10**5) == Converged(1000, 1001)
+
 
 class _Token:
     pass
@@ -109,6 +120,7 @@ def test_runs_leave_no_cyclic_garbage():
         )
         assert run_for(evaluate(CORPUS["ident_by_min"], [now(5)]), 10_000) == Converged(5, 5)
         assert run_for(left_chain(300, delay_by(0, 1)), 1000) == Converged(300, 301)
+        assert run_for(stepping_search(50), 1000) == Converged(50, 51)
         assert isinstance(run_for(sloth_strict_g(14), 5000), Exhausted)
         assert gc.collect() == 0
     finally:
