@@ -3,8 +3,11 @@
 Codes are built from zero, successor, projections, composition, primitive
 recursion and minimization, and denote maps from value tuples to delayed
 naturals whose only steps are failed minimization probes.  ``evaluate``
-forces its delayed arguments once, left to right; ``oracle_eval`` is an
-independent budgeted big-step evaluator over plain integers, to check it.
+forces its delayed arguments once, left to right, and compiles the code
+once: a part without minimization is primitive recursive, so it runs as a
+plain function on integers, and only minimization probes step.
+``oracle_eval`` is an independent budgeted big-step evaluator over plain
+integers, to check it.
 
 Concrete syntax (whitespace-insensitive)::
 
@@ -13,11 +16,12 @@ Concrete syntax (whitespace-insensitive)::
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
-from .delay import Delay, _check_fuel, bind, later, now, strict_tuple
+from .delay import Delay, _check_fuel, bind, fmap, later, now, strict_tuple
 
 __all__ = [
     "RecCode",
@@ -123,44 +127,103 @@ def arity(code: RecCode, _path: str = "top") -> int:
 
 
 def evaluate(code: RecCode, args: Sequence[Delay[int]]) -> Delay[int]:
-    """Force the delayed arguments once, left to right; run ``code`` on their values."""
+    """Force the delayed arguments once, left to right; run ``code`` on their values.
+
+    The code is compiled once per call.  A code without ``Min`` runs as a
+    plain function on integers and takes no step; only a ``Min`` search
+    steps, once per failed probe.
+    """
     n = arity(code)
     xs = tuple(args)
     if len(xs) != n:
         raise ValueError(f"arity mismatch: code takes {n} arguments, got {len(xs)}")
-    return bind(lambda vs: _eval(code, vs), strict_tuple(xs))
+    delayed, run = _compile(code)
+    return (bind if delayed else fmap)(run, strict_tuple(xs))
 
 
-def _eval(code: RecCode, vs: tuple[int, ...]) -> Delay[int]:
+def _compile(code: RecCode) -> tuple[bool, Callable]:
+    # ``(delayed, run)``: ``run`` maps a value tuple to a ``Delay`` if the
+    # code has a ``Min`` (``delayed``), and to an ``int`` if it has none.
     if isinstance(code, Zero):
-        return now(0)
+        return False, _zero
     if isinstance(code, Succ):
-        return now(vs[0] + 1)
+        return False, _succ
     if isinstance(code, Proj):
-        return now(vs[code.i - 1])
+        return False, operator.itemgetter(code.i - 1)
     if isinstance(code, Comp):
-        return _eval_comp(code, vs, ())
+        (fd, f), inner = _compile(code.f), [_compile(g) for g in code.gs]
+        if fd or any(delayed for delayed, _ in inner):
+            lifted = _lifted(fd, f)
+            return True, lambda vs: _comp_from(lifted, inner, vs, ())
+        runs = [run for _, run in inner]
+        # One inner code, as in ``plus``'s step ``C(S; P 3 3)``, needs no list.
+        if len(runs) == 1:
+            only = runs[0]
+            return False, lambda vs: f((only(vs),))
+        return False, lambda vs: f(tuple([run(vs) for run in runs]))
     if isinstance(code, PrimRec):
-        head = vs[:-1]
-        acc = _eval(code.f, head)
-        for k in range(vs[-1]):
-            acc = bind(lambda a, k=k: _eval(code.g, head + (k, a)), acc)
-        return acc
-    return _eval_min(code, vs)
+        (fd, f), (gd, g) = _compile(code.f), _compile(code.g)
+        if gd:
+            lifted = _lifted(fd, f)
+            return True, lambda vs: _primrec_bind(lifted, g, vs)
+        if fd:
+            return True, lambda vs: fmap(lambda a: _iterate(g, vs, a), f(vs[:-1]))
+        return False, lambda vs: _iterate(g, vs, f(vs[:-1]))
+    fd, f = _compile(code.f)
+    search = _min_bind if fd else _min_from
+    return True, lambda vs: search(f, vs, 0)
 
 
-def _eval_comp(code: Comp, vs: tuple[int, ...], ys: tuple[int, ...]) -> Delay[int]:
-    # ``ys`` holds the values of the first len(ys) inner codes.
-    if len(ys) == len(code.gs):
-        return _eval(code.f, ys)
-    return bind(lambda y: _eval_comp(code, vs, ys + (y,)), _eval(code.gs[len(ys)], vs))
+def _zero(vs: tuple[int, ...]) -> int:
+    return 0
 
 
-def _eval_min(code: Min, vs: tuple[int, ...], i: int = 0) -> Delay[int]:
-    # Probe ``i``, ``i + 1``, ...: one step per failed probe; inner steps pass through.
+def _succ(vs: tuple[int, ...]) -> int:
+    return vs[0] + 1
+
+
+def _lifted(delayed: bool, run: Callable) -> Callable[[tuple[int, ...]], Delay[int]]:
+    return run if delayed else lambda vs: now(run(vs))
+
+
+def _comp_from(f, gs, vs: tuple[int, ...], ys: tuple[int, ...]) -> Delay[int]:
+    # ``ys`` holds the values of the first len(ys) inner codes.  The rest run
+    # in order: a step-free one at once, a delayed one through ``bind``.
+    for delayed, g in gs[len(ys):]:
+        if delayed:
+            return bind(lambda y: _comp_from(f, gs, vs, ys + (y,)), g(vs))
+        ys += (g(vs),)
+    return f(ys)
+
+
+def _iterate(g, vs: tuple[int, ...], acc: int) -> int:
+    # The step-free step ``g`` for k = 0 .. vs[-1] - 1, from the base value ``acc``.
+    head = vs[:-1]
+    for k in range(vs[-1]):
+        acc = g(head + (k, acc))
+    return acc
+
+
+def _primrec_bind(f, g, vs: tuple[int, ...]) -> Delay[int]:
+    head = vs[:-1]
+    acc = f(head)
+    for k in range(vs[-1]):
+        acc = bind(lambda a, k=k: g(head + (k, a)), acc)
+    return acc
+
+
+def _min_from(body, vs: tuple[int, ...], i: int) -> Delay[int]:
+    # Probe ``i`` of a step-free body: ``i`` now, or one step and then probe ``i + 1``.
+    if body(vs + (i,)) == 0:
+        return now(i)
+    return later(lambda: _min_from(body, vs, i + 1))
+
+
+def _min_bind(body, vs: tuple[int, ...], i: int) -> Delay[int]:
+    # Probe ``i`` of a delayed body, whose own steps pass through first.
     return bind(
-        lambda v: now(i) if v == 0 else later(lambda: _eval_min(code, vs, i + 1)),
-        _eval(code.f, vs + (i,)),
+        lambda v: now(i) if v == 0 else later(lambda: _min_bind(body, vs, i + 1)),
+        body(vs + (i,)),
     )
 
 
@@ -224,7 +287,8 @@ _TOKEN = re.compile(r"\s*(Z|S|P|C|R|M|\(|\)|;|,|\d+)")
 
 
 # Deepest parenthesis nesting ``parse_code`` accepts.  The parser, the printer,
-# ``arity`` and both evaluators recurse per level; at this bound they fit the stack.
+# ``arity``, the compiler behind ``evaluate`` and the oracle recurse per level;
+# at this bound they fit the stack.
 MAX_NESTING = 200
 
 

@@ -197,6 +197,24 @@ class TestArgumentsForcedOnce:
         assert run_for(evaluate(code, [now(3)]), FUEL) == Converged(403, 3)
 
 
+class TestDelayedPaths:
+    """One code for each way a part with a ``Min`` meets the rest."""
+
+    def test_primrec_with_a_delayed_step(self):
+        code = PrimRec(Proj(1, 1), Comp(CORPUS["ident_by_min"], (Proj(3, 3),)))
+        assert run_for(evaluate(code, [now(4), now(5)]), FUEL) == Converged(4, 20)
+
+    def test_composition_of_a_delayed_and_a_step_free_inner_code(self):
+        code = Comp(CORPUS["plus"], (CORPUS["ident_by_min"], Proj(1, 1)))
+        assert run_for(evaluate(code, [now(3)]), FUEL) == Converged(6, 3)
+
+    def test_min_over_a_delayed_body(self):
+        # Probe y pays y steps inside ident_by_min; 3 probes fail.
+        inner = Comp(CORPUS["ident_by_min"], (Proj(2, 2),))
+        code = Min(Comp(CORPUS["monus"], (Proj(1, 2), inner)))
+        assert run_for(evaluate(code, [now(3)]), FUEL) == Converged(3, 9)
+
+
 class TestNestingBound:
     # print_code(CORPUS["ident_by_min"]) nests its parentheses 5 deep.
     LEVELS = MAX_NESTING - 5

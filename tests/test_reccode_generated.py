@@ -3,7 +3,10 @@
 Codes are generated arity first: a strategy for codes of arity ``n``
 only builds nodes whose parts have the arities the node needs, so every
 drawn code passes ``arity``.  Minimisation bodies are arbitrary codes,
-so many of them diverge on some inputs.
+so many of them diverge on some inputs.  Searches of the form
+``M(C(monus; g, P n+1 n+1))``, the least ``y`` with ``g(xs, y) <= y``, are
+drawn as often as plain ones, so that many convergent codes fail some
+probes before they succeed.
 """
 
 from functools import cache
@@ -13,6 +16,7 @@ from hypothesis import strategies as st
 
 from copartial import Converged, now, run_for
 from copartial.reccode import (
+    CORPUS,
     Comp,
     Min,
     PrimRec,
@@ -49,7 +53,36 @@ def codes(n: int, depth: int):
             options.append(st.builds(PrimRec, codes(n - 1, depth - 1), codes(n + 1, depth - 1)))
         if n < MAX_ARITY:
             options.append(st.builds(Min, codes(n + 1, depth - 1)))
+            options.append(codes(n + 1, depth - 1).map(
+                lambda g: Min(Comp(CORPUS["monus"], (g, Proj(n + 1, n + 1))))))
     return st.one_of(options)
+
+
+def reference(code, xs):
+    """``(value, failed probes)`` by plain recursion; loops where ``code`` diverges."""
+    if isinstance(code, Zero):
+        return 0, 0
+    if isinstance(code, Succ):
+        return xs[0] + 1, 0
+    if isinstance(code, Proj):
+        return xs[code.i - 1], 0
+    if isinstance(code, Comp):
+        inner = [reference(g, xs) for g in code.gs]
+        value, steps = reference(code.f, tuple(v for v, _ in inner))
+        return value, steps + sum(s for _, s in inner)
+    if isinstance(code, PrimRec):
+        acc, steps = reference(code.f, xs[:-1])
+        for k in range(xs[-1]):
+            acc, s = reference(code.g, xs[:-1] + (k, acc))
+            steps += s
+        return acc, steps
+    y = steps = 0
+    while True:
+        v, s = reference(code.f, xs + (y,))
+        steps += s
+        if v == 0:
+            return y, steps
+        y, steps = y + 1, steps + 1
 
 
 cases = st.integers(0, MAX_ARITY).flatmap(
@@ -68,3 +101,4 @@ def test_generated_codes_agree_with_the_oracle(case):
         # also pays for, so the same fuel suffices.
         got = run_for(evaluate(code, [now(a) for a in args]), FUEL)
         assert isinstance(got, Converged) and got.value == want
+        assert got == Converged(*reference(code, tuple(args)))

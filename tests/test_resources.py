@@ -15,7 +15,7 @@ from copartial import (
 from copartial.fixpoint import factorial_operator, fix
 from copartial.lazy import ZERO, Ended, lazy_of, lazy_plus, observe, sloth_strict_g, step, succ
 from copartial.nested import DevilSpec, cps_fix, devil
-from copartial.reccode import CORPUS, Comp, PrimRec, Proj, Succ, evaluate
+from copartial.reccode import CORPUS, Comp, Min, PrimRec, Proj, Succ, evaluate
 
 
 def left_chain(depth, x):
@@ -119,6 +119,8 @@ def test_runs_leave_no_cyclic_garbage():
             265252859812191058636308480000000, 32
         )
         assert run_for(evaluate(CORPUS["ident_by_min"], [now(5)]), 10_000) == Converged(5, 5)
+        search = Min(Comp(CORPUS["monus"], (Proj(1, 2), Comp(CORPUS["ident_by_min"], (Proj(2, 2),)))))
+        assert run_for(evaluate(search, [now(3)]), 10_000) == Converged(3, 9)
         assert run_for(left_chain(300, delay_by(0, 1)), 1000) == Converged(300, 301)
         assert run_for(stepping_search(50), 1000) == Converged(50, 51)
         assert isinstance(run_for(sloth_strict_g(14), 5000), Exhausted)
