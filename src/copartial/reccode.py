@@ -153,8 +153,8 @@ def _compile(code: RecCode) -> tuple[bool, Callable]:
     if isinstance(code, Comp):
         (fd, f), inner = _compile(code.f), [_compile(g) for g in code.gs]
         if fd or any(delayed for delayed, _ in inner):
-            lifted = _lifted(fd, f)
-            return True, lambda vs: _comp_from(lifted, inner, vs, ())
+            lifted, gs = _lifted(fd, f), [_lifted(delayed, g) for delayed, g in inner]
+            return True, lambda vs: _comp_from(lifted, gs, vs, ())
         runs = [run for _, run in inner]
         # One inner code, as in ``plus``'s step ``C(S; P 3 3)``, needs no list.
         if len(runs) == 1:
@@ -163,11 +163,9 @@ def _compile(code: RecCode) -> tuple[bool, Callable]:
         return False, lambda vs: f(tuple([run(vs) for run in runs]))
     if isinstance(code, PrimRec):
         (fd, f), (gd, g) = _compile(code.f), _compile(code.g)
-        if gd:
-            lifted = _lifted(fd, f)
-            return True, lambda vs: _primrec_bind(lifted, g, vs)
-        if fd:
-            return True, lambda vs: fmap(lambda a: _iterate(g, vs, a), f(vs[:-1]))
+        if fd or gd:
+            base, step = _lifted(fd, f), _lifted(gd, g)
+            return True, lambda vs: _primrec_bind(base, step, vs)
         return False, lambda vs: _iterate(g, vs, f(vs[:-1]))
     fd, f = _compile(code.f)
     search = _min_bind if fd else _min_from
@@ -187,13 +185,10 @@ def _lifted(delayed: bool, run: Callable) -> Callable[[tuple[int, ...]], Delay[i
 
 
 def _comp_from(f, gs, vs: tuple[int, ...], ys: tuple[int, ...]) -> Delay[int]:
-    # ``ys`` holds the values of the first len(ys) inner codes.  The rest run
-    # in order: a step-free one at once, a delayed one through ``bind``.
-    for delayed, g in gs[len(ys):]:
-        if delayed:
-            return bind(lambda y: _comp_from(f, gs, vs, ys + (y,)), g(vs))
-        ys += (g(vs),)
-    return f(ys)
+    # ``ys`` holds the values of the first len(ys) inner codes; the next runs through ``bind``.
+    if len(ys) == len(gs):
+        return f(ys)
+    return bind(lambda y: _comp_from(f, gs, vs, ys + (y,)), gs[len(ys)](vs))
 
 
 def _iterate(g, vs: tuple[int, ...], acc: int) -> int:

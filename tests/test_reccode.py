@@ -198,7 +198,7 @@ class TestArgumentsForcedOnce:
 
 
 class TestDelayedPaths:
-    """One code for each way a part with a ``Min`` meets the rest."""
+    """One code for each bind path of a code with a ``Min``: ``R``, ``C`` and ``M`` over a delayed body."""
 
     def test_primrec_with_a_delayed_step(self):
         code = PrimRec(Proj(1, 1), Comp(CORPUS["ident_by_min"], (Proj(3, 3),)))
