@@ -1,78 +1,8 @@
 """Coinductive partiality: delayed computations, fuel, and fixed points."""
 
-from .delay import (
-    Again,
-    Converged,
-    Delay,
-    Done,
-    Exhausted,
-    Later,
-    Now,
-    RunResult,
-    bind,
-    delay_by,
-    fmap,
-    later,
-    never,
-    now,
-    parallel_search,
-    race,
-    run_for,
-    strength,
-    strict_pair,
-    strict_proj,
-    strict_tuple,
-    unfold,
-)
-from .semantics import (
-    FAILS,
-    HOLDS,
-    Verdict,
-    bisim,
-    converges_to,
-    diverges_bounded,
-    diverges_finite_state,
-    is_finite,
-    leq,
-    unknown,
-)
+from . import delay, semantics
+from .delay import *
+from .semantics import *
 from .fixpoint import Operator, bottom, fix, iterate
 
-__all__ = [
-    "Again",
-    "Converged",
-    "Delay",
-    "Done",
-    "Exhausted",
-    "Later",
-    "Now",
-    "RunResult",
-    "bind",
-    "delay_by",
-    "fmap",
-    "later",
-    "never",
-    "now",
-    "parallel_search",
-    "race",
-    "run_for",
-    "strength",
-    "strict_pair",
-    "strict_proj",
-    "strict_tuple",
-    "unfold",
-    "FAILS",
-    "HOLDS",
-    "Verdict",
-    "bisim",
-    "converges_to",
-    "diverges_bounded",
-    "diverges_finite_state",
-    "is_finite",
-    "leq",
-    "unknown",
-    "Operator",
-    "bottom",
-    "fix",
-    "iterate",
-]
+__all__ = [*delay.__all__, *semantics.__all__, "Operator", "bottom", "fix", "iterate"]

@@ -7,7 +7,8 @@ can observe any ``Delay`` safely; binds nested to any depth re-associate
 as they step, so a peel costs amortised O(1) host work and stack, and a
 race round O(live racers), with no host nesting.  A bind node has the class
 of the step it runs, so tagged steps keep their tags.
-Deferred computations must be pure: forcing is memoized.
+The constructors ``now``/``later`` are the classes ``Now``/``Later``; an
+``unfold`` step finishes with ``Done``, which is ``Now``.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ class _Cell:
 
 
 class Later(_Cell, Delay[A]):
-    """One computation step; ``rest()`` forces the next stage."""
+    """One computation step; ``rest()`` forces the next stage; the thunk must be pure."""
 
     __slots__ = ()
 
@@ -106,15 +107,11 @@ class Later(_Cell, Delay[A]):
         return "Later(...)"
 
 
+now = Done = Now
+later = Later
+
 # The canonical diverging computation: its own tail.
 _NEVER: Later[Any] = Later.knot()
-
-
-@dataclass(frozen=True)
-class Done(Generic[B]):
-    """Unfold step outcome: the computation finishes with ``value``."""
-
-    value: B
 
 
 @dataclass(frozen=True)
@@ -138,16 +135,6 @@ class Exhausted(Generic[A]):
 RunResult = Union[Converged[A], Exhausted[A]]
 
 
-def now(value: A) -> Delay[A]:
-    """Embed a plain value as a zero-step computation."""
-    return Now(value)
-
-
-def later(thunk: Callable[[], Delay[A]]) -> Delay[A]:
-    """Prefix one computation step; ``thunk`` must be pure."""
-    return Later(thunk)
-
-
 def never() -> Delay[Any]:
     """The computation that steps forever and has no value."""
     return _NEVER
@@ -165,12 +152,12 @@ def delay_by(value: A, steps: int) -> Delay[A]:
 def unfold(seed: S, step: Callable[[S], Union[Again[S], Done[B]]]) -> Delay[B]:
     """Iterate a pure step function, one observable step per ``Again``.
 
-    ``step`` plays the role of a coalgebra: ``Done(b)`` finishes with
-    ``b``, ``Again(s)`` emits a step and continues from ``s``.
+    ``step`` plays the role of a coalgebra: ``Done(b)``, which is ``Now(b)``, is
+    the result; ``Again(s)`` emits a step and continues from ``s``.
     """
     r = step(seed)
     if isinstance(r, Done):
-        return Now(r.value)
+        return r
     return Later(lambda: unfold(r.state, step))
 
 

@@ -1,6 +1,6 @@
 """Lazy partial naturals: observe part of a result before it is done.
 
-A lazy natural is a ``Delay`` with tagged steps: a successor is a
+A lazy natural is a ``Delay`` with tagged steps: a successor, ``succ``, is a
 ``Later`` subclass, a plain computation step is a ``Later``, and zero is
 ``Now(None)``.  So a diverging computation can still reveal finitely many
 successors, and ``lazy_plus`` is ``bind``, which keeps each step's tag.
@@ -11,7 +11,7 @@ strict delay version loops.
 from __future__ import annotations
 
 import enum
-from typing import Callable, Tuple
+from typing import Tuple
 
 from .delay import Delay, Later, Now, _check_fuel, bind, delay_by, later, never, now
 from .semantics import FAILS, HOLDS, Verdict, unknown
@@ -48,11 +48,7 @@ class _Succ(Later):
 
 
 ZERO: LazyNat = Now(None)
-
-
-def succ(thunk: Callable[[], LazyNat]) -> LazyNat:
-    return _Succ(thunk)
-
+succ = _Succ
 
 # A plain step, and the lazy natural of plain steps only (all steps, no
 # information), are the delay monad's own.
@@ -153,6 +149,8 @@ _G: list[LazyNat] = [ZERO]
 
 
 def _grow(n: int) -> None:
+    if n < 0:
+        raise ValueError("lazy naturals are non-negative")
     # Iterative so that large levels, reached when a deep observation
     # crosses into a tower's tail, do not nest host stack frames.  Each
     # deferred tail binds its own level (a default argument), not the
@@ -178,16 +176,12 @@ def _grow(n: int) -> None:
 
 def sloth_f(n: int) -> LazyNat:
     """Lazy evaluation of the first sloth function at a plain natural."""
-    if n < 0:
-        raise ValueError("lazy naturals are non-negative")
     _grow(n)
     return _F[n]
 
 
 def sloth_g(n: int) -> LazyNat:
     """Lazy evaluation of the second sloth function at a plain natural."""
-    if n < 0:
-        raise ValueError("lazy naturals are non-negative")
     _grow(n)
     return _G[n]
 

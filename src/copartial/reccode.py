@@ -99,10 +99,15 @@ def arity(code: RecCode, _path: str = "top") -> int:
     if isinstance(code, (Zero, Succ)):
         return 1
     if isinstance(code, Proj):
+        # Plain ints only, not ``bool``: the printed code must parse back.
+        if type(code.i) is not int or type(code.n) is not int:
+            raise IllFormed(_path, f"projection indices {code.i!r}, {code.n!r} are not both int")
         if not 1 <= code.i <= code.n:
             raise IllFormed(_path, f"projection index {code.i} not in 1..{code.n}")
         return code.n
     if isinstance(code, Comp):
+        if not isinstance(code.gs, tuple):
+            raise IllFormed(_path, f"inner codes {code.gs!r} are not a tuple")
         af = arity(code.f, _path + ".f")
         if not code.gs:
             raise IllFormed(_path, "composition needs at least one inner code")

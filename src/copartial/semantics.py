@@ -4,6 +4,7 @@ Convergence, divergence, finiteness, weak bisimilarity, and the
 convergence order are undecidable in general, so every checker returns a
 three-valued ``Verdict``: ``Holds`` and ``Fails`` are definitive and
 monotone in fuel, ``Unknown`` carries no claim beyond the fuel spent.
+The convergence order ``leq`` is ``bisim``, whose docstring says why.
 """
 
 from __future__ import annotations
@@ -132,10 +133,12 @@ def bisim(x: Delay[A], y: Delay[A], fuel: int) -> Verdict:
     Each side gets the full fuel budget.  If only one side converges
     within fuel the answer is ``Unknown``: ruling the pair apart would
     require a divergence proof for the other side.
+
+    Also ``leq``, the convergence order (each value of ``x`` is one of ``y``):
+    on a deterministic ``Delay`` the two differ only where ``x`` diverges,
+    which no finite fuel observes, so their semi-decisions coincide.
     """
     return _judge(fuel, _equal, x, y)
 
 
-def leq(x: Delay[A], y: Delay[A], fuel: int) -> Verdict:
-    """Convergence order: every value of ``x`` is also a value of ``y``."""
-    return _judge(fuel, _equal, x, y)
+leq = bisim

@@ -43,11 +43,18 @@ class TestArity:
             arity(Proj(0, 2))
         with pytest.raises(IllFormed):
             arity(Proj(3, 2))
+        # Indices must be plain ints: the printed code has to parse back.
+        for bad in (Proj(1.5, 2), Proj("1", 2), Proj(True, 1)):
+            with pytest.raises(IllFormed):
+                arity(bad)
 
     def test_comp_arity_mismatch(self):
         # Succ is unary; two inner codes cannot feed it
         with pytest.raises(IllFormed):
             arity(Comp(Succ(), (Zero(), Zero())))
+        # Inner codes come as a tuple
+        with pytest.raises(IllFormed):
+            arity(Comp(Succ(), 5))
 
     def test_comp_inner_disagreement(self):
         with pytest.raises(IllFormed):

@@ -7,6 +7,9 @@ so many of them diverge on some inputs.  Searches of the form
 ``M(C(monus; g, P n+1 n+1))``, the least ``y`` with ``g(xs, y) <= y``, are
 drawn as often as plain ones, so that many convergent codes fail some
 probes before they succeed.
+
+A second strategy draws arbitrary small trees, most of them ill-formed,
+to check that ``arity`` rejects them with ``IllFormed`` and nothing else.
 """
 
 from functools import cache
@@ -18,6 +21,7 @@ from copartial import Converged, now, run_for
 from copartial.reccode import (
     CORPUS,
     Comp,
+    IllFormed,
     Min,
     PrimRec,
     Proj,
@@ -102,3 +106,38 @@ def test_generated_codes_agree_with_the_oracle(case):
         got = run_for(evaluate(code, [now(a) for a in args]), FUEL)
         assert isinstance(got, Converged) and got.value == want
         assert got == Converged(*reference(code, tuple(args)))
+
+
+# Indices in and out of range, and ones that are not plain ints.
+indices = st.one_of(st.integers(-1, 4), st.booleans(), st.sampled_from([1.5, 2.0, "1", None]))
+leaves = st.one_of(
+    st.just(Zero()),
+    st.just(Succ()),
+    st.builds(Proj, indices, indices),
+    st.sampled_from([None, 0, "S", Zero, ()]),  # not codes
+)
+
+
+def nodes(children):
+    return st.one_of(
+        # Any number of inner codes (zero too), as a tuple or not.
+        st.builds(Comp, children, st.lists(children, max_size=3).map(tuple)),
+        st.builds(Comp, children, st.one_of(st.lists(children, max_size=2), children)),
+        st.builds(PrimRec, children, children),
+        st.builds(Min, children),
+    )
+
+
+trees = st.recursive(leaves, nodes, max_leaves=8)
+
+
+@given(trees)
+@settings(max_examples=300, deadline=None)
+def test_arity_accepts_only_printable_codes(tree):
+    try:
+        n = arity(tree)
+    except IllFormed as e:
+        assert e.path.startswith("top")
+        return
+    assert type(n) is int
+    assert parse_code(print_code(tree)) == tree
