@@ -148,7 +148,7 @@ def main(argv: Optional[Sequence[str]] = None, out=None, err=None) -> int:
         if opts.command == "check-laws":
             opts.fuel = 64
         elif opts.command == "demo" and opts.name == "sloth":
-            # deep observation of the divergent lazy tower gets costly
+            # the demo's printed output, "EXHAUSTED fuel=1000", depends on this default
             opts.fuel = 1000
         else:
             opts.fuel = DEFAULT_FUEL

@@ -6,7 +6,9 @@ peeling a single constructor always terminates, so a fuel-bounded runner
 can observe any ``Delay`` safely; binds nested to any depth re-associate
 as they step, so a peel costs amortised O(1) host work and stack, and a
 race round O(live racers), with no host nesting.  A bind node has the class
-of the step it runs, so tagged steps keep their tags.
+of the step it runs, so tagged steps keep their tags.  ``delay_by(v, n)``
+is one node for its whole run of ``n`` steps: ``rest()`` peels one, and
+``run_for`` cuts the run in O(1), still charging one fuel per step.
 The constructors ``now``/``later`` are the classes ``Now``/``Later``; an
 ``unfold`` step finishes with ``Done``, which is ``Now``.
 """
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from types import FunctionType
 from typing import Any, Callable, Generic, Sequence, TypeVar, Union
 
 A = TypeVar("A")
@@ -141,12 +144,33 @@ def never() -> Delay[Any]:
 
 
 def delay_by(value: A, steps: int) -> Delay[A]:
-    """``value`` behind exactly ``steps`` computation steps."""
-    if operator.index(steps) < 0:
-        raise ValueError("steps must be non-negative")
-    if steps == 0:
-        return Now(value)
-    return Later(lambda: delay_by(value, steps - 1))
+    """``value`` behind exactly ``steps`` computation steps, as one node."""
+    return _run_node(Later, steps, Now(value), "steps must be non-negative")
+
+
+def _run_node(cls: type, n: int, tail: Delay[A], negative: str) -> Delay[A]:
+    # ``n`` steps of class ``cls`` before ``tail``: one node, or ``tail`` itself if ``n`` is 0.
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError(negative)
+    return cls(_Run((cls, n, tail))) if n else tail
+
+
+class _Run(tuple):
+    """The thunk ``(cls, n, tail)`` of a node of class ``cls`` that stands for
+    ``n`` >= 1 steps of that class before ``tail``.  Called, it peels one
+    step; ``drop`` peels up to a budget at once, in O(1)."""
+
+    __slots__ = ()
+
+    def __call__(self) -> Delay:
+        return self.drop(1)[0]
+
+    def drop(self, budget: int | float) -> tuple[Delay, int]:
+        cls, n, tail = self
+        if n <= budget:
+            return tail, n
+        return cls(_Run((cls, n - budget, tail))), budget
 
 
 def unfold(seed: S, step: Callable[[S], Union[Again[S], Done[B]]]) -> Delay[B]:
@@ -195,23 +219,58 @@ class _Bind(tuple):
     __slots__ = ()
 
     def __call__(self) -> Delay:
+        x, ks = self.open()
+        return _resume(x.rest(), ks)
+
+    def open(self) -> tuple[Delay, Any]:
+        """The node whose step this bind runs, and every continuation after it."""
         x, ks = self
         # Open unforced bind nodes, not force them: a left chain is walked once, not per step.
         while type(x._thunk) is _Bind:
             x, inner = x._thunk
             ks = (inner, ks)
-        x = x.rest()
-        while isinstance(x, Now):
-            if ks is None:
-                return x
-            k, ks = ks, None
-            while type(k) is tuple:
-                k, then = k
-                ks = then if ks is None else (then, ks)
-            x = k(x.value)
-        if x is _NEVER or ks is None:
+        return x, ks
+
+
+def _resume(x: Delay, ks: Any) -> Delay:
+    # Feed ``x``, once it is a value, to the continuation tree ``ks``, or
+    # bind the tree onto ``x``'s next step.
+    while isinstance(x, Now):
+        if ks is None:
             return x
-        return type(x)(_Bind((x, ks)))
+        k, ks = ks, None
+        while type(k) is tuple:
+            k, then = k
+            ks = then if ks is None else (then, ks)
+        x = k(x.value)
+    if x is _NEVER or ks is None:
+        return x
+    return type(x)(_Bind((x, ks)))
+
+
+def _skip(x: Later, budget: int | float) -> tuple[Delay, int]:
+    """Peel ``k`` of at most ``budget`` >= 1 steps off ``x``; return the rest and ``k``.
+
+    A run, bare or at the head of binds, is cut in O(1) however long it
+    is, and every step cut has ``x``'s class.  The binds are opened as
+    ``_Bind`` opens them, and ``x`` itself is not memoised.  A knot, such
+    as ``never()``, is a run without end.  Any other node peels one
+    memoised step.
+    """
+    t = x._thunk
+    if type(t) is _Run:
+        return t.drop(budget)
+    if t is None:
+        rest = x._forced
+        return rest, budget if rest is x else 1
+    if type(t) is not _Bind:
+        return x.rest(), 1
+    x, ks = t.open()
+    t = x._thunk
+    if type(t) is not _Run:
+        return _resume(x.rest(), ks), 1
+    x, k = t.drop(budget)
+    return _resume(x, ks), k
 
 
 def strength(a: A, y: Delay[B]) -> Delay[tuple[A, B]]:
@@ -290,7 +349,10 @@ def _check_fuel(fuel: int) -> None:
 
 
 def run_for(x: Delay[A], fuel: int) -> RunResult[A]:
-    """Peel at most ``fuel`` steps; report the value or the remainder."""
+    """Peel at most ``fuel`` steps; report the value or the remainder.
+
+    Every step costs one fuel; a run of them is peeled at once.
+    """
     _check_fuel(fuel)
     steps = 0
     while True:
@@ -298,5 +360,9 @@ def run_for(x: Delay[A], fuel: int) -> RunResult[A]:
             return Converged(x.value, steps)
         if steps == fuel:
             return Exhausted(x)
-        x = x.rest()
-        steps += 1
+        if type(x._thunk) is FunctionType:
+            x = x.rest()
+            steps += 1
+        else:
+            x, k = _skip(x, fuel - steps)
+            steps += k

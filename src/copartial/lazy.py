@@ -4,6 +4,8 @@ A lazy natural is a ``Delay`` with tagged steps: a successor, ``succ``, is a
 ``Later`` subclass, a plain computation step is a ``Later``, and zero is
 ``Now(None)``.  So a diverging computation can still reveal finitely many
 successors, and ``lazy_plus`` is ``bind``, which keeps each step's tag.
+``lazy_of(n)`` is one node for its ``n`` successors, and ``observe`` and
+``lazy_le`` cut such a run in O(1) while charging one fuel per constructor.
 The sloth example shows the payoff: its lazy version answers where the
 strict delay version loops.
 """
@@ -11,9 +13,12 @@ strict delay version loops.
 from __future__ import annotations
 
 import enum
+import math
 from typing import Tuple
 
-from .delay import Delay, Later, Now, _check_fuel, bind, delay_by, later, never, now
+from .delay import (
+    Delay, Later, Now, _check_fuel, _run_node, _skip, bind, delay_by, later, never, now,
+)
 from .semantics import FAILS, HOLDS, Verdict, unknown
 
 __all__ = [
@@ -63,13 +68,8 @@ def omega() -> LazyNat:
 
 
 def lazy_of(n: int) -> LazyNat:
-    """Embed a plain natural as a step-free lazy natural."""
-    if n < 0:
-        raise ValueError("lazy naturals are non-negative")
-    x = ZERO
-    for _ in range(n):
-        x = _Succ(lambda x=x: x)
-    return x
+    """Embed a plain natural as a step-free lazy natural: one node for ``n`` successors."""
+    return _run_node(_Succ, n, ZERO, "lazy naturals are non-negative")
 
 
 class Ended(enum.Enum):
@@ -84,16 +84,22 @@ def observe(x: LazyNat, fuel: int) -> Tuple[int, Ended]:
     of successors seen before the end or before the fuel ran out.
     """
     _check_fuel(fuel)
+    return _observe(x, fuel)
+
+
+def _observe(x: LazyNat, fuel: int | float) -> Tuple[int, Ended]:
+    # ``observe`` unchecked: fuel ``math.inf`` reads off a lazy natural known to end in zero.
     succs = 0
     while True:
         if isinstance(x, Now):
             return succs, Ended.ZERO
         if fuel == 0:
             return succs, Ended.EXHAUSTED
-        fuel -= 1
-        if isinstance(x, _Succ):
-            succs += 1
-        x = x.rest()
+        is_succ = isinstance(x, _Succ)
+        x, k = _skip(x, fuel)
+        fuel -= k
+        if is_succ:
+            succs += k
 
 
 def lazy_plus(x: LazyNat, y: LazyNat) -> LazyNat:
@@ -119,23 +125,16 @@ def lazy_le(x: LazyNat, y: LazyNat, fuel: int) -> Verdict:
             return FAILS
         if spent == fuel:
             return unknown(fuel)
-        spent += 1
+        # Strip as many constructors at once as a run on one side, or on both, allows.
         if not isinstance(x, _Succ):
-            x = x.rest()
+            x, k = _skip(x, fuel - spent)
         elif not isinstance(y, _Succ):
-            y = y.rest()
+            y, k = _skip(y, fuel - spent)
         else:
-            x, y = x.rest(), y.rest()
-
-
-def _drain(x: LazyNat) -> int:
-    # Read off the value of a lazy natural known to end in zero.
-    n = 0
-    while not isinstance(x, Now):
-        if isinstance(x, _Succ):
-            n += 1
-        x = x.rest()
-    return n
+            rest, k = _skip(x, fuel - spent)
+            y, k_y = _skip(y, k)
+            x, k = (rest, k) if k_y == k else _skip(x, k_y)
+        spent += k
 
 
 # The sloth pair's levels, ``_F[k]`` = f(k) and ``_G[k]`` = g(k), built
@@ -161,7 +160,7 @@ def _grow(n: int) -> None:
         # f (succ m) = f (g m) + g m.  The recursive call's argument is the
         # value of g(m).  It is only needed once gm's own constructors are
         # exhausted, and at that point gm is known finite and can be drained.
-        _F.append(bind(lambda _, gm=gm: sloth_f(_drain(gm)), gm))
+        _F.append(bind(lambda _, gm=gm: sloth_f(_observe(gm, math.inf)[0]), gm))
         # g (succ m) = g (f m) + m  if f m <= m,  else 0.  The sloth builds
         # no plain steps, so m peels of fm either reach its end, with v = f m,
         # or leave a successor more (f m > m).  Refutation only peels finitely

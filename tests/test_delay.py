@@ -73,13 +73,15 @@ class TestConstructors:
      lambda: observe(lazy_of(2), 2.5),
      lambda: lazy_le(lazy_of(1), lazy_of(2), 2.5),
      lambda: oracle_eval(CORPUS["plus"], [1, 2], 2.5),
-     lambda: delay_by(1, 2.5)],
-    ids=["run_for", "observe", "lazy_le", "oracle_eval", "delay_by"],
+     lambda: delay_by(1, 2.5),
+     lambda: lazy_of(2.5)],
+    ids=["run_for", "observe", "lazy_le", "oracle_eval", "delay_by", "lazy_of"],
 )
 def test_non_integer_fuel_is_rejected(run):
     # Fuel is compared with ``==`` as it is spent: a fractional fuel would
-    # never run out on a divergent input.  A fractional ``delay_by`` count
-    # would pass 0 unnoticed and fail mid-run, so it is rejected at once.
+    # never run out on a divergent input.  A fractional ``delay_by`` or
+    # ``lazy_of`` count would be stored in its run node unnoticed, so it is
+    # rejected at once.
     with pytest.raises(TypeError):
         run()
 

@@ -1,11 +1,12 @@
 """The monad's combinators against a plain reference on generated trees.
 
-A tree mixes ``delay_by``, ``never``, binds nested to the left and to the
-right, ``fmap``, ``strict_tuple``, long left-nested bind chains, a bind
-onto the remainder of a node that was partly run and is then used again,
-``race`` and ``parallel_search``.  The reference computes ``(value,
-steps)`` with plain integers, or ``None`` where the tree diverges; for the
-races it pins the exact step count and the left bias.
+A tree mixes ``delay_by`` (sometimes a run thousands of steps long),
+``never``, binds nested to the left and to the right, ``fmap``,
+``strict_tuple``, long left-nested bind chains, a bind onto the remainder
+of a node that was partly run and is then used again, ``race`` and
+``parallel_search``.  The reference computes ``(value, steps)`` with plain
+integers, or ``None`` where the tree diverges; for the races it pins the
+exact step count and the left bias.
 """
 
 from hypothesis import given, settings
@@ -19,7 +20,9 @@ from copartial import (
 DIVERGENCE_FUEL = 2000
 
 delays = st.tuples(st.just("delay"), st.integers(0, 9), st.integers(0, 3))
-leaves = st.one_of(delays, delays, delays, st.just(("never",)))
+# A long run is one node, so fuel cuts, remainders and binds land inside it.
+runs = st.tuples(st.just("delay"), st.integers(0, 9), st.integers(1000, 5000))
+leaves = st.one_of(delays, delays, delays, runs, st.just(("never",)))
 
 
 def _extend(trees):
@@ -29,7 +32,7 @@ def _extend(trees):
         st.tuples(st.just("fmap"), trees, st.integers(0, 9)),
         st.tuples(st.just("tuple"), st.lists(trees, max_size=3).map(tuple)),
         st.tuples(st.just("chain"), trees, st.integers(0, 2000)),
-        st.tuples(st.just("rest"), trees, st.integers(0, 6)),
+        st.tuples(st.just("rest"), trees, st.integers(0, 6) | st.integers(0, 6000)),
         st.tuples(st.just("race"), trees, trees),
         st.tuples(st.just("search"), st.lists(trees, max_size=3).map(tuple)),
     )

@@ -1,13 +1,14 @@
 """Lazy naturals against a plain reference on generated trees.
 
-A tree mixes ``lazy_of``, towers of ``succ`` and of ``step``,
-``never_lazy``, ``omega``, ``lazy_plus`` of two trees, sums nested to the
-left and to the right up to 2000 deep, and a sum of a tree with itself
-(one shared node used twice).  The reference is the tree's constructor
-sequence, run-length encoded: a list of ``("S", n)`` successor runs and
-``("T", n)`` plain-step runs, where a last run of ``inf`` length means
-the sequence never reaches zero.  ``observe`` and ``lazy_le`` are
-checked against what that sequence says, with the exact fuel.
+A tree mixes ``lazy_of`` (sometimes thousands of successors, one node),
+towers of ``succ`` and of ``step``, ``never_lazy``, ``omega``,
+``lazy_plus`` of two trees, sums nested to the left and to the right up
+to 2000 deep, and a sum of a tree with itself (one shared node used
+twice).  The reference is the tree's constructor sequence, run-length
+encoded: a list of ``("S", n)`` successor runs and ``("T", n)`` plain-step
+runs, where a last run of ``inf`` length means the sequence never reaches
+zero.  ``observe`` and ``lazy_le`` are checked against what that sequence
+says, with the exact fuel.
 """
 
 from math import inf
@@ -33,7 +34,7 @@ UNDECIDED_FUEL = 3000
 
 leaves = st.one_of(
     st.tuples(st.just("of"), st.integers(0, 9)),
-    st.tuples(st.just("of"), st.integers(0, 9)),
+    st.tuples(st.just("of"), st.integers(0, 9) | st.integers(1000, 4000)),
     st.just(("never",)),
     st.just(("omega",)),
 )

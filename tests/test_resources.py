@@ -3,6 +3,7 @@ computation holds no more than its live state."""
 
 import ast
 import gc
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -13,7 +14,9 @@ from copartial import (
     Converged, Exhausted, bind, delay_by, fmap, later, now, parallel_search, run_for,
 )
 from copartial.fixpoint import factorial_operator, fix
-from copartial.lazy import ZERO, Ended, lazy_of, lazy_plus, observe, sloth_strict_g, step, succ
+from copartial.lazy import (
+    ZERO, Ended, lazy_of, lazy_plus, observe, sloth_f, sloth_strict_g, step, succ,
+)
 from copartial.nested import DevilSpec, cps_fix, devil
 from copartial.reccode import CORPUS, Comp, Min, PrimRec, Proj, Succ, evaluate
 
@@ -83,6 +86,27 @@ class TestDeepNesting:
     def test_parallel_search_1000_live_entrants(self):
         # Entrant n < 1000 keeps stepping; every round advances all of them.
         assert run_for(stepping_search(1000), 10**5) == Converged(1000, 1001)
+
+
+class TestLongRuns:
+    """A run of steps is one node, and every peel loop charges it per step in O(1)."""
+
+    def test_a_run_of_10_to_the_12_steps(self):
+        assert run_for(delay_by(7, 10**12), 10**12) == Converged(7, 10**12)
+
+    def test_the_remainder_of_a_part_run_run(self):
+        partly = run_for(delay_by(7, 10**12), 10**6)
+        assert isinstance(partly, Exhausted)
+        assert run_for(partly.rest, 10**12) == Converged(7, 10**12 - 10**6)
+
+    def test_sloth_observed_with_fuel_20000(self):
+        tracemalloc.start()
+        try:
+            assert observe(sloth_f(13), 20_000) == (20_000, Ended.EXHAUSTED)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class _Token:
