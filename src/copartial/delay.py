@@ -8,15 +8,18 @@ as they step, so a peel costs amortised O(1) host work and stack, and a
 race round O(live racers), with no host nesting.  A bind node has the class
 of the step it runs, so tagged steps keep their tags.  ``delay_by(v, n)``
 is one node for its whole run of ``n`` steps: ``rest()`` peels one, and
-``run_for`` cuts the run in O(1), still charging one fuel per step.
-The constructors ``now``/``later`` are the classes ``Now``/``Later``; an
-``unfold`` step finishes with ``Done``, which is ``Now``.
+``run_for`` cuts the run in O(1), still charging one fuel per step.  An
+``unfold`` is one node too, which ``run_for`` steps in one loop over its
+pure step function, with no cell per step.  The constructors
+``now``/``later`` are the classes ``Now``/``Later``; an ``unfold`` step
+finishes with ``Done``, which is ``Now``.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from itertools import count
 from types import FunctionType
 from typing import Any, Callable, Generic, Sequence, TypeVar, Union
 
@@ -117,11 +120,16 @@ later = Later
 _NEVER: Later[Any] = Later.knot()
 
 
-@dataclass(frozen=True)
 class Again(Generic[S]):
-    """Unfold step outcome: take one step and continue from ``state``."""
+    """Unfold step outcome: take one step and continue from ``state``; no equality."""
 
-    state: S
+    __slots__ = ("state",)
+
+    def __init__(self, state: S):
+        self.state = state
+
+    def __repr__(self) -> str:
+        return f"Again({self.state!r})"
 
 
 @dataclass(frozen=True)
@@ -177,12 +185,40 @@ def unfold(seed: S, step: Callable[[S], Union[Again[S], Done[B]]]) -> Delay[B]:
     """Iterate a pure step function, one observable step per ``Again``.
 
     ``step`` plays the role of a coalgebra: ``Done(b)``, which is ``Now(b)``, is
-    the result; ``Again(s)`` emits a step and continues from ``s``.
+    the result; ``Again(s)`` emits a step and continues from ``s``.  The
+    first ``step`` is taken now, and the node after it is one cell whose
+    steps the peel loops take in one loop, unmemoised: so ``step`` must be
+    pure, as running the same node twice calls it again.
     """
     r = step(seed)
     if isinstance(r, Done):
         return r
-    return Later(lambda: unfold(r.state, step))
+    return Later(_Unfold((step, r.state)))
+
+
+class _Unfold(tuple):
+    """The thunk ``(step, s)`` of an ``unfold`` node: one step, then
+    ``unfold(s, step)``.  Called, it peels one step; ``drop`` peels up to
+    a budget in one loop over ``step``."""
+
+    __slots__ = ()
+
+    def __call__(self) -> Delay:
+        return self.drop(1)[0]
+
+    def drop(self, budget: int | float) -> tuple[Delay, int]:
+        step, s = self
+        for k in count(1):
+            r = step(s)
+            if isinstance(r, Done):
+                return r, k
+            s = r.state
+            if k == budget:
+                return Later(_Unfold((step, s))), k
+
+
+# The thunks whose node ``_skip`` cuts in one ``drop``.
+_BULK = (_Run, _Unfold)
 
 
 def fmap(f: Callable[[A], B], x: Delay[A]) -> Delay[B]:
@@ -251,26 +287,28 @@ def _resume(x: Delay, ks: Any) -> Delay:
 def _skip(x: Later, budget: int | float) -> tuple[Delay, int]:
     """Peel ``k`` of at most ``budget`` >= 1 steps off ``x``; return the rest and ``k``.
 
-    A run, bare or at the head of binds, is cut in O(1) however long it
-    is, and every step cut has ``x``'s class.  The binds are opened as
-    ``_Bind`` opens them, and ``x`` itself is not memoised.  A knot, such
-    as ``never()``, is a run without end.  Any other node peels one
+    A run or an unfold, bare or at the head of binds, is cut in one
+    ``drop``, and every step cut has ``x``'s class.  The binds are opened
+    as ``_Bind`` opens them; when that peels one step, it is memoised in
+    ``x``, as ``x.rest()`` would, so the continuations run once.  A knot,
+    such as ``never()``, is a run without end.  Any other node peels one
     memoised step.
     """
     t = x._thunk
-    if type(t) is _Run:
+    if type(t) in _BULK:
         return t.drop(budget)
     if t is None:
         rest = x._forced
         return rest, budget if rest is x else 1
     if type(t) is not _Bind:
         return x.rest(), 1
-    x, ks = t.open()
-    t = x._thunk
-    if type(t) is not _Run:
-        return _resume(x.rest(), ks), 1
-    x, k = t.drop(budget)
-    return _resume(x, ks), k
+    head, ks = t.open()
+    t = head._thunk
+    rest, k = t.drop(budget) if type(t) in _BULK else (head.rest(), 1)
+    rest = _resume(rest, ks)
+    if k == 1:
+        x._forced, x._thunk = rest, None
+    return rest, k
 
 
 def strength(a: A, y: Delay[B]) -> Delay[tuple[A, B]]:
@@ -351,7 +389,8 @@ def _check_fuel(fuel: int) -> None:
 def run_for(x: Delay[A], fuel: int) -> RunResult[A]:
     """Peel at most ``fuel`` steps; report the value or the remainder.
 
-    Every step costs one fuel; a run of them is peeled at once.
+    Every step costs one fuel; a run of them is peeled at once, and an
+    unfold's steps in one loop over its step function.
     """
     _check_fuel(fuel)
     steps = 0

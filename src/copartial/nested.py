@@ -6,7 +6,7 @@ defining equation written with ``bind`` and ``fmap``, one step per
 unfolding and one per return into a pending outer call.  ``cnest``
 flattens ``nest`` with a counter of pending applications, and
 ``cps_fix``, whose single recursion leaves only post-maps pending,
-counts those.
+counts those; both are ``unfold``s.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Generic, TypeVar
 
-from .delay import Delay, bind, fmap, later, now
+from .delay import Again, Delay, bind, fmap, later, now, unfold
 
 A = TypeVar("A")
 
@@ -38,14 +38,17 @@ class DevilSpec(Generic[A]):
 def cnest(n: int, m: int) -> Delay[int]:
     """Compute the m-fold self-application of ``nest`` at ``n``.
 
-    The counter ``m`` holds the number of pending nested applications;
-    one step per transition.
+    An unfold over ``(n, m)``: the counter ``m`` holds the number of
+    pending nested applications; one step per transition.
     """
+    return unfold((n, m), _cnest_step)
+
+
+def _cnest_step(s: tuple[int, int]) -> Again[tuple[int, int]] | Delay[int]:
+    n, m = s
     if m == 0:
         return now(n)
-    if n == 0:
-        return later(lambda: cnest(0, m - 1))
-    return later(lambda: cnest(n - 1, m + 1))
+    return Again((0, m - 1) if n == 0 else (n - 1, m + 1))
 
 
 def nest(n: int) -> Delay[int]:
@@ -75,19 +78,19 @@ def cps_fix(
     """``d(a) = g(a) if in_base(a) else h(d(i(a)))``, one step per unfolding.
 
     Single recursion leaves nothing pending but applications of ``h``, so
-    they are counted and applied to the base value.
+    it is an unfold over ``(hs, x)``: ``hs`` applications of ``h`` are
+    still pending on top of ``d(x)``, and are applied to the base value.
     """
-    return _cps_from(DevilSpec(in_base, i, g, h), 0, a)
+    def step(s: tuple[int, A]) -> Again[tuple[int, A]] | Delay[A]:
+        hs, x = s
+        if in_base(x):
+            gx = g(x)
+            for _ in range(hs):
+                gx = h(gx)
+            return now(gx)
+        return Again((hs + 1, i(x)))
 
-
-def _cps_from(spec: DevilSpec[A], hs: int, x: A) -> Delay[A]:
-    # ``hs`` applications of ``h`` are still pending on top of ``d(x)``.
-    if spec.in_base(x):
-        gx = spec.g(x)
-        for _ in range(hs):
-            gx = spec.h(gx)
-        return now(gx)
-    return later(lambda: _cps_from(spec, hs + 1, spec.i(x)))
+    return unfold((0, a), step)
 
 
 def mccarthy91_devil_spec() -> DevilSpec[int]:

@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
-from .delay import Delay, _check_fuel, bind, fmap, later, now, strict_tuple
+from .delay import Again, Delay, _check_fuel, bind, fmap, later, now, strict_tuple, unfold
 
 __all__ = [
     "RecCode",
@@ -213,10 +213,8 @@ def _primrec_bind(f, g, vs: tuple[int, ...]) -> Delay[int]:
 
 
 def _min_from(body, vs: tuple[int, ...], i: int) -> Delay[int]:
-    # Probe ``i`` of a step-free body: ``i`` now, or one step and then probe ``i + 1``.
-    if body(vs + (i,)) == 0:
-        return now(i)
-    return later(lambda: _min_from(body, vs, i + 1))
+    # Probe ``i``, ``i + 1``, ... of a step-free body, one step per failed probe.
+    return unfold(i, lambda i: now(i) if body(vs + (i,)) == 0 else Again(i + 1))
 
 
 def _min_bind(body, vs: tuple[int, ...], i: int) -> Delay[int]:

@@ -86,6 +86,21 @@ def test_non_integer_fuel_is_rejected(run):
         run()
 
 
+def stalling_countdown(stalls, calls):
+    """A step from ``(left, tick)`` that counts ``left`` down to 0, but not at
+    the ticks where the cycled ``stalls`` is true; it finishes with the tick
+    count, and logs each state it is called on in ``calls``."""
+
+    def step(s):
+        calls.append(s)
+        left, tick = s
+        if left == 0:
+            return Done(tick)
+        return Again((left - (not stalls[tick % len(stalls)]), tick + 1))
+
+    return step
+
+
 class TestUnfold:
     def test_countdown(self):
         step = lambda k: Done("done") if k == 0 else Again(k - 1)
@@ -103,6 +118,37 @@ class TestUnfold:
     def test_steps_equal_left_count(self, n):
         step = lambda k: Done(k) if k == 0 else Again(k - 1)
         assert run_for(unfold(n, step), n) == Converged(0, n)
+
+    @given(
+        st.integers(0, 200),
+        st.lists(st.booleans(), min_size=1, max_size=6),
+        st.integers(0, 400),
+        st.integers(0, 400),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_bulk_run_matches_peeling_one_step_at_a_time(self, n, stalls, fuel, more):
+        def fresh(calls):
+            return unfold((n, 0), stalling_countdown(stalls, calls))
+
+        one, peeled = fresh([]), 0
+        while not isinstance(one, Done) and peeled < fuel:
+            one, peeled = one.rest(), peeled + 1
+        calls = []
+        bulk = run_for(fresh(calls), fuel)
+        if isinstance(one, Done):
+            assert bulk == Converged(one.value, peeled)
+        else:
+            assert isinstance(bulk, Exhausted)
+        whole = run_for(fresh([]), fuel + more)
+        if isinstance(bulk, Exhausted):
+            resumed = run_for(bulk.rest, more)
+            if isinstance(whole, Converged):
+                assert resumed == Converged(whole.value, whole.steps - fuel)
+            else:
+                assert isinstance(resumed, Exhausted)
+        # One call for the first step taken at construction, one per step peeled.
+        steps = whole.steps if isinstance(whole, Converged) else fuel + more
+        assert len(calls) == steps + 1
 
 
 class TestMonad:
@@ -140,6 +186,15 @@ class TestMonad:
         rx = converged(x, 64)
         r = converged(fmap(lambda v: v * 3, x), 64)
         assert r == Converged(rx.value * 3, rx.steps)
+
+    @pytest.mark.parametrize(
+        "head", [lambda: delay_by(0, 1), lambda: later(lambda: now(0))], ids=["run", "later"]
+    )
+    def test_a_bind_node_run_twice_runs_its_continuation_once(self, head):
+        calls = []
+        x = bind(lambda v: calls.append(v) or now(v), head())
+        assert run_for(x, 10) == run_for(x, 10) == Converged(0, 1)
+        assert calls == [0]
 
 
 class TestPairing:

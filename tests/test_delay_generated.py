@@ -1,7 +1,8 @@
 """The monad's combinators against a plain reference on generated trees.
 
 A tree mixes ``delay_by`` (sometimes a run thousands of steps long),
-``never``, binds nested to the left and to the right, ``fmap``,
+``unfold`` countdowns (sometimes thousands of steps long), ``never``,
+binds nested to the left and to the right, ``fmap``,
 ``strict_tuple``, long left-nested bind chains, a bind onto the remainder
 of a node that was partly run and is then used again, ``race`` and
 ``parallel_search``.  The reference computes ``(value, steps)`` with plain
@@ -13,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from copartial import (
-    Converged, Exhausted, bind, delay_by, fmap, never, now, parallel_search, race, run_for,
-    strict_tuple,
+    Again, Converged, Exhausted, bind, delay_by, fmap, never, now, parallel_search, race,
+    run_for, strict_tuple, unfold,
 )
 
 DIVERGENCE_FUEL = 2000
@@ -22,7 +23,9 @@ DIVERGENCE_FUEL = 2000
 delays = st.tuples(st.just("delay"), st.integers(0, 9), st.integers(0, 3))
 # A long run is one node, so fuel cuts, remainders and binds land inside it.
 runs = st.tuples(st.just("delay"), st.integers(0, 9), st.integers(1000, 5000))
-leaves = st.one_of(delays, delays, delays, runs, st.just(("never",)))
+# An unfold is one node too, stepped in bulk by its step function.
+unfolds = st.tuples(st.just("unfold"), st.integers(0, 9), st.integers(0, 5) | st.integers(0, 5000))
+leaves = st.one_of(delays, delays, delays, runs, unfolds, st.just(("never",)))
 
 
 def _extend(trees):
@@ -45,6 +48,9 @@ def build(t):
     kind = t[0]
     if kind == "delay":
         return delay_by(t[1], t[2])
+    if kind == "unfold":
+        v = t[1]
+        return unfold(t[2], lambda k: now(v) if k == 0 else Again(k - 1))
     if kind == "never":
         return never()
     if kind == "lbind":
@@ -77,7 +83,7 @@ def build(t):
 def reference(t):
     """``(value, steps)`` of the tree, or ``None`` if it diverges."""
     kind = t[0]
-    if kind == "delay":
+    if kind in ("delay", "unfold"):
         return t[1], t[2]
     if kind == "never":
         return None

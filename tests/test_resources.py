@@ -11,13 +11,14 @@ import pytest
 
 import copartial
 from copartial import (
-    Converged, Exhausted, bind, delay_by, fmap, later, now, parallel_search, run_for,
+    Again, Converged, Exhausted, bind, delay_by, fmap, later, now, parallel_search, run_for,
+    unfold,
 )
 from copartial.fixpoint import factorial_operator, fix
 from copartial.lazy import (
     ZERO, Ended, lazy_of, lazy_plus, observe, sloth_f, sloth_strict_g, step, succ,
 )
-from copartial.nested import DevilSpec, cps_fix, devil
+from copartial.nested import DevilSpec, cps_fix, devil, nest
 from copartial.reccode import CORPUS, Comp, Min, PrimRec, Proj, Succ, evaluate
 
 
@@ -99,6 +100,20 @@ class TestLongRuns:
         assert isinstance(partly, Exhausted)
         assert run_for(partly.rest, 10**12) == Converged(7, 10**12 - 10**6)
 
+    def test_an_unfold_whose_head_is_kept_retains_no_chain(self):
+        # The steps are taken in one loop over the step function, so no
+        # memoised cell per step hangs off the head the caller keeps.
+        tracemalloc.start()
+        try:
+            head = unfold(200_000, lambda k: now(k) if k == 0 else Again(k - 1))
+            before = tracemalloc.get_traced_memory()[0]
+            assert run_for(head, 10**6) == Converged(0, 200_000)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert head is not None
+        assert retained < 2**20
+
     def test_sloth_observed_with_fuel_20000(self):
         tracemalloc.start()
         try:
@@ -121,8 +136,9 @@ class _Token:
         (succ, "pred", ZERO),
         (step, "rest", ZERO),
         (lambda thunk: lazy_plus(ZERO, succ(thunk)), "pred", ZERO),
+        (lambda thunk: unfold(0, lambda s: thunk() if s else Again(1)), "rest", now(0)),
     ],
-    ids=["Later", "bind", "Succ", "Step", "plus"],
+    ids=["Later", "bind", "Succ", "Step", "plus", "unfold"],
 )
 def test_forced_cell_drops_its_thunk(make, force, result):
     token = _Token()
@@ -147,6 +163,9 @@ def test_runs_leave_no_cyclic_garbage():
         assert run_for(evaluate(search, [now(3)]), 10_000) == Converged(3, 9)
         assert run_for(left_chain(300, delay_by(0, 1)), 1000) == Converged(300, 301)
         assert run_for(stepping_search(50), 1000) == Converged(50, 51)
+        assert run_for(nest(30), 1000) == Converged(0, 61)
+        d = cps_fix(lambda n: n >= 50, lambda n: n, lambda n: n + 1, lambda v: v + 1, 0)
+        assert run_for(d, 1000) == Converged(100, 50)
         assert isinstance(run_for(sloth_strict_g(14), 5000), Exhausted)
         assert gc.collect() == 0
     finally:
