@@ -4,10 +4,14 @@ Codes are built from zero, successor, projections, composition, primitive
 recursion and minimization, and denote maps from value tuples to delayed
 naturals whose only steps are failed minimization probes.  ``evaluate``
 forces its delayed arguments once, left to right, and compiles the code
-once: a part without minimization is primitive recursive, so it runs as a
-plain function on integers, and only minimization probes step.
-``oracle_eval`` is an independent budgeted big-step evaluator over plain
-integers, to check it.
+once, to generated Python source.  A part without minimization is
+primitive recursive: it is one generated function of straight-line code
+with a ``for`` loop per recursion, and takes no step.  A minimization over
+such a part is an ``unfold`` whose step is a generated probe.  The source
+holds only integers that the arity check validated and generated names.
+``arity``, ``print_code`` and the compiler are one walk on an explicit
+stack, so they take a code of any depth.  ``oracle_eval`` is an
+independent budgeted big-step evaluator over plain integers, to check it.
 
 Concrete syntax (whitespace-insensitive)::
 
@@ -16,12 +20,14 @@ Concrete syntax (whitespace-insensitive)::
 
 from __future__ import annotations
 
-import operator
 import re
+import sys
 from dataclasses import dataclass
+from functools import partial
+from itertools import count
 from typing import Callable, Optional, Sequence, Tuple
 
-from .delay import Again, Delay, _check_fuel, bind, fmap, later, now, strict_tuple, unfold
+from .delay import Again, Delay, Now, _check_fuel, bind, later, now, strict_tuple, unfold
 
 __all__ = [
     "RecCode",
@@ -94,114 +100,236 @@ class Min:
 RecCode = Zero | Succ | Proj | Comp | PrimRec | Min
 
 
-def arity(code: RecCode, _path: str = "top") -> int:
-    """Number of arguments, validating the arity discipline throughout."""
-    if isinstance(code, (Zero, Succ)):
-        return 1
-    if isinstance(code, Proj):
+def _walk(code: RecCode, combine: Optional[Callable] = None) -> tuple:
+    """``(n, r)``: the arity of ``code``, checked at every node, and the fold
+    ``r`` of ``combine(node, n, results)`` over its nodes in post-order, where
+    ``n`` is the node's arity and ``results`` its parts' ``r``.  One walk on
+    an explicit stack, so a code of any depth fits the host stack."""
+    stack = []
+    node, path, parts, arities, results = code, "top", _parts(code, "top"), [], []
+    while True:
+        if len(arities) < len(parts):
+            stack.append((node, path, parts, arities, results))
+            node, path = parts[len(arities)]
+            parts, arities, results = _parts(node, path), [], []
+            continue
+        n = _check(node, path, arities)
+        result = combine and combine(node, n, results)
+        if not stack:
+            return n, result
+        node, path, parts, arities, results = stack.pop()
+        arities.append(n)
+        results.append(result)
+
+
+def _parts(node: RecCode, path) -> list:
+    """The parts of ``node`` in walking order, each with its path ``(path, label)``."""
+    if isinstance(node, (Proj, Zero, Succ)):
+        return []
+    if isinstance(node, Comp):
+        if not isinstance(node.gs, tuple):
+            raise _ill(path, f"inner codes {node.gs!r} are not a tuple")
+        return [(node.f, (path, ".f")), *[(g, (path, j)) for j, g in enumerate(node.gs, 1)]]
+    if isinstance(node, PrimRec):
+        return [(node.f, (path, ".f")), (node.g, (path, ".g"))]
+    if isinstance(node, Min):
+        return [(node.f, (path, ".f"))]
+    raise _ill(path, f"unknown code node {node!r}")
+
+
+def _ill(path, reason: str) -> IllFormed:
+    # A path is "top" or ``(parent, label)``; label ``j`` is a ``C``'s j-th inner code.
+    labels = []
+    while type(path) is tuple:
+        path, label = path
+        labels.append(label if type(label) is str else f".g{label}")
+    return IllFormed(path + "".join(reversed(labels)), reason)
+
+
+def _check(node: RecCode, path, arities: list[int]) -> int:
+    """The arity of ``node``, given its parts' arities in walking order."""
+    if isinstance(node, Proj):
         # Plain ints only, not ``bool``: the printed code must parse back.
-        if type(code.i) is not int or type(code.n) is not int:
-            raise IllFormed(_path, f"projection indices {code.i!r}, {code.n!r} are not both int")
-        if not 1 <= code.i <= code.n:
-            raise IllFormed(_path, f"projection index {code.i} not in 1..{code.n}")
-        return code.n
-    if isinstance(code, Comp):
-        if not isinstance(code.gs, tuple):
-            raise IllFormed(_path, f"inner codes {code.gs!r} are not a tuple")
-        af = arity(code.f, _path + ".f")
-        if not code.gs:
-            raise IllFormed(_path, "composition needs at least one inner code")
-        if af != len(code.gs):
-            raise IllFormed(_path, f"outer arity {af} != {len(code.gs)} inner codes")
-        ags = [arity(g, f"{_path}.g{j+1}") for j, g in enumerate(code.gs)]
-        if len(set(ags)) != 1:
-            raise IllFormed(_path, f"inner codes disagree on arity: {ags}")
+        if type(node.i) is not int or type(node.n) is not int:
+            raise _ill(path, f"projection indices {node.i!r}, {node.n!r} are not both int")
+        if not 1 <= node.i <= node.n:
+            raise _ill(path, f"projection index {node.i} not in 1..{node.n}")
+        return node.n
+    if isinstance(node, (Zero, Succ)):
+        return 1
+    if isinstance(node, Comp):
+        af, *ags = arities
+        if not ags:
+            raise _ill(path, "composition needs at least one inner code")
+        if af != len(ags):
+            raise _ill(path, f"outer arity {af} != {len(ags)} inner codes")
+        if ags.count(ags[0]) != af:
+            raise _ill(path, f"inner codes disagree on arity: {ags}")
         return ags[0]
-    if isinstance(code, PrimRec):
-        af = arity(code.f, _path + ".f")
-        ag = arity(code.g, _path + ".g")
+    if isinstance(node, PrimRec):
+        af, ag = arities
         if ag != af + 2:
-            raise IllFormed(_path, f"recursion step arity {ag} != base arity {af} + 2")
+            raise _ill(path, f"recursion step arity {ag} != base arity {af} + 2")
         return af + 1
-    if isinstance(code, Min):
-        af = arity(code.f, _path + ".f")
-        if af < 1:
-            raise IllFormed(_path, "minimization needs a body of arity >= 1")
-        return af - 1
-    raise IllFormed(_path, f"unknown code node {code!r}")
+    (af,) = arities
+    if af < 1:
+        raise _ill(path, "minimization needs a body of arity >= 1")
+    return af - 1
+
+
+def arity(code: RecCode) -> int:
+    """Number of arguments, validating the arity discipline throughout."""
+    return _walk(code)[0]
 
 
 def evaluate(code: RecCode, args: Sequence[Delay[int]]) -> Delay[int]:
     """Force the delayed arguments once, left to right; run ``code`` on their values.
 
-    The code is compiled once per call.  A code without ``Min`` runs as a
-    plain function on integers and takes no step; only a ``Min`` search
-    steps, once per failed probe.
+    The walk that checks the code's arities also emits Python source for
+    it, compiled once per call.  The source holds only integers that the
+    walk validated and generated names.  A part without ``Min`` takes no
+    step: it is one function of straight-line code with a ``for`` loop per
+    ``R``.  A ``Min`` over such a part is an ``unfold`` whose step is a
+    generated probe, one step per failed probe.  A ``C``, ``R`` or ``M``
+    with a ``Min`` in its parts binds their generated functions.
     """
-    n = arity(code)
+    emitter = _Emitter()
+    n, form = _walk(code, emitter.combine)
     xs = tuple(args)
     if len(xs) != n:
         raise ValueError(f"arity mismatch: code takes {n} arguments, got {len(xs)}")
-    delayed, run = _compile(code)
-    return (bind if delayed else fmap)(run, strict_tuple(xs))
+    top = emitter.lifted(form, n)
+    ns = dict(_GLOBALS)
+    exec(compile("\n".join(emitter.lines), "<reccode>", "exec"), ns)
+    run = ns[top]
+    # A generated function left in the globals it runs in would be a cycle.
+    for name in emitter.names:
+        del ns[name]
+    return bind(run, strict_tuple(xs))
 
 
-def _compile(code: RecCode) -> tuple[bool, Callable]:
-    # ``(delayed, run)``: ``run`` maps a value tuple to a ``Delay`` if the
-    # code has a ``Min`` (``delayed``), and to an ``int`` if it has none.
-    if isinstance(code, Zero):
-        return False, _zero
-    if isinstance(code, Succ):
-        return False, _succ
-    if isinstance(code, Proj):
-        return False, operator.itemgetter(code.i - 1)
-    if isinstance(code, Comp):
-        (fd, f), inner = _compile(code.f), [_compile(g) for g in code.gs]
-        if fd or any(delayed for delayed, _ in inner):
-            lifted, gs = _lifted(fd, f), [_lifted(delayed, g) for delayed, g in inner]
-            return True, lambda vs: _comp_from(lifted, gs, vs, ())
-        runs = [run for _, run in inner]
-        # One inner code, as in ``plus``'s step ``C(S; P 3 3)``, needs no list.
-        if len(runs) == 1:
-            only = runs[0]
-            return False, lambda vs: f((only(vs),))
-        return False, lambda vs: f(tuple([run(vs) for run in runs]))
-    if isinstance(code, PrimRec):
-        (fd, f), (gd, g) = _compile(code.f), _compile(code.g)
-        if fd or gd:
-            base, step = _lifted(fd, f), _lifted(gd, g)
-            return True, lambda vs: _primrec_bind(base, step, vs)
-        return False, lambda vs: _iterate(g, vs, f(vs[:-1]))
-    fd, f = _compile(code.f)
-    search = _min_bind if fd else _min_from
-    return True, lambda vs: search(f, vs, 0)
+# CPython compiles at most 20 statically nested blocks in one function.
+_MAX_LOOPS = 20
 
 
-def _zero(vs: tuple[int, ...]) -> int:
-    return 0
+# The first generated names, kept alive: a name that ``compile()`` interns
+# and a finished code then frees churns CPython's table of interned strings,
+# which grew it by ~0.4 MB over a few thousand codes.
+_NAMES = tuple(sys.intern(f"x{n}") for n in range(64))
 
 
-def _succ(vs: tuple[int, ...]) -> int:
-    return vs[0] + 1
+def _indented(text: str) -> str:
+    return "    " + text.replace("\n", "\n    ")
 
 
-def _lifted(delayed: bool, run: Callable) -> Callable[[tuple[int, ...]], Delay[int]]:
-    return run if delayed else lambda vs: now(run(vs))
+class _Emitter:
+    """Source for a code, built bottom-up as the walk combines its nodes.
+
+    A part without ``Min`` is ``(chunks, atom, loops)``: its statements as
+    chunks of lines (an assignment into a fresh local per ``Z`` or ``S``, a
+    ``for`` loop per ``R``); the name that holds its value; and the depth of
+    its nested ``for`` loops.  Its argument ``j`` is the placeholder ``{j}``,
+    filled in by ``str.format`` where the part is used.  A part with ``Min``
+    is the name bound to a function from a value tuple to a ``Delay``.
+    """
+
+    def __init__(self):
+        self.lines: list[str] = []
+        # The names the source binds, and the split steps among them.
+        self.names: list[str] = []
+        self.steps: list[str] = []
+        self._count = count()
+
+    def fresh(self) -> str:
+        n = next(self._count)
+        return _NAMES[n] if n < len(_NAMES) else f"x{n}"
+
+    def define(self, params: list[str], body: str) -> str:
+        # The split steps defined so far are defaults: no global lookup reaches them.
+        name = self.fresh()
+        defaults = "".join([f", {step}={step}" for step in self.steps])
+        self.lines += [f"def {name}({', '.join(params)}{defaults}):", _indented(body)]
+        self.names.append(name)
+        return name
+
+    def bound(self, expr: str) -> str:
+        name = self.fresh()
+        self.lines.append(f"{name} = {expr}")
+        self.names.append(name)
+        return name
+
+    def lifted(self, form, n: int) -> str:
+        """A function from a tuple of ``n`` values to a ``Delay`` for ``form``."""
+        if type(form) is str:
+            return form
+        chunks, atom, _ = form
+        xs = [self.fresh() for _ in range(n)]
+        body = "\n".join([f"[{', '.join(xs)}] = vs", *chunks, f"return Now({atom})"])
+        return self.define(["vs"], body.format(*xs))
+
+    def combine(self, node: RecCode, n: int, forms: list):
+        if isinstance(node, Proj):
+            return [], f"{{{node.i - 1}}}", 0
+        if isinstance(node, (Zero, Succ)):
+            x = self.fresh()
+            return [f"{x} = 0" if isinstance(node, Zero) else f"{x} = {{0}} + 1"], x, 0
+        if isinstance(node, Min):
+            return self.search(n, forms[0])
+        if str in map(type, forms):
+            return self.delayed(node, n, forms)
+        if isinstance(node, Comp):
+            (outer, atom, loops), *gs = forms
+            chunks, ys = [], []
+            for more, y, deeper in gs:
+                chunks += more
+                ys.append(y)
+                loops = max(loops, deeper)
+            if outer:
+                chunks.append("\n".join(outer).format(*ys))
+            return chunks, atom.format(*ys), loops
+        (chunks, atom, loops), (step, value, deeper) = forms
+        k = self.fresh()
+        # The accumulator is the base's own local, or a copy of an argument.
+        acc = self.fresh() if atom[0] == "{" else atom
+        if acc != atom:
+            chunks.append(f"{acc} = {atom}")
+        if deeper < _MAX_LOOPS:
+            # The step's arguments are the head's, then ``k`` and the accumulator.
+            body = "\n".join([*step, f"{acc} = {value}"]).replace(f"{{{n - 1}}}", k).replace(f"{{{n}}}", acc)
+            loops = max(loops, deeper + 1)
+        else:
+            # Too deep for one function: the step starts a fresh one.
+            xs = [self.fresh() for _ in range(n + 1)]
+            self.steps.append(self.define(xs, "\n".join([*step, f"return {value}"]).format(*xs)))
+            args = ", ".join([*[f"{{{j}}}" for j in range(n - 1)], k, acc])
+            body, loops = f"{acc} = {self.steps[-1]}({args})", max(loops, 1)
+        chunks += [f"for {k} in range({{{n - 1}}}):", _indented(body)]
+        return chunks, acc, loops
+
+    def search(self, n: int, form) -> str:
+        # ``M`` over a delayed body binds each probe; over a step-free one it is an unfold.
+        if type(form) is str:
+            return self.bound(f"partial(_min_bind, {form})")
+        chunks, atom, _ = form
+        xs = [self.fresh() for _ in range(n + 1)]
+        body = "\n".join([*chunks, f"return Now({{{n}}}) if {atom} == 0 else Again({{{n}}} + 1)"])
+        return self.bound(f"partial(_search, {self.define(xs, body.format(*xs))})")
+
+    def delayed(self, node: RecCode, n: int, forms: list) -> str:
+        # A ``C`` or ``R`` with a ``Min`` in its parts binds their functions.
+        if isinstance(node, Comp):
+            f, *gs = forms
+            inner = ", ".join([self.lifted(g, n) for g in gs])
+            return self.bound(f"partial(_comp_from, {self.lifted(f, len(gs))}, ({inner},))")
+        base, step = forms
+        return self.bound(f"partial(_primrec_bind, {self.lifted(base, n - 1)}, {self.lifted(step, n + 1)})")
 
 
-def _comp_from(f, gs, vs: tuple[int, ...], ys: tuple[int, ...]) -> Delay[int]:
+def _comp_from(f, gs, vs: tuple[int, ...], ys: tuple[int, ...] = ()) -> Delay[int]:
     # ``ys`` holds the values of the first len(ys) inner codes; the next runs through ``bind``.
     if len(ys) == len(gs):
         return f(ys)
     return bind(lambda y: _comp_from(f, gs, vs, ys + (y,)), gs[len(ys)](vs))
-
-
-def _iterate(g, vs: tuple[int, ...], acc: int) -> int:
-    # The step-free step ``g`` for k = 0 .. vs[-1] - 1, from the base value ``acc``.
-    head = vs[:-1]
-    for k in range(vs[-1]):
-        acc = g(head + (k, acc))
-    return acc
 
 
 def _primrec_bind(f, g, vs: tuple[int, ...]) -> Delay[int]:
@@ -212,17 +340,22 @@ def _primrec_bind(f, g, vs: tuple[int, ...]) -> Delay[int]:
     return acc
 
 
-def _min_from(body, vs: tuple[int, ...], i: int) -> Delay[int]:
-    # Probe ``i``, ``i + 1``, ... of a step-free body, one step per failed probe.
-    return unfold(i, lambda i: now(i) if body(vs + (i,)) == 0 else Again(i + 1))
+def _search(probe, vs: tuple[int, ...]) -> Delay[int]:
+    # Probe 0, 1, ... of a step-free body, one step per failed probe.
+    return unfold(0, partial(probe, *vs))
 
 
-def _min_bind(body, vs: tuple[int, ...], i: int) -> Delay[int]:
+def _min_bind(body, vs: tuple[int, ...], i: int = 0) -> Delay[int]:
     # Probe ``i`` of a delayed body, whose own steps pass through first.
     return bind(
         lambda v: now(i) if v == 0 else later(lambda: _min_bind(body, vs, i + 1)),
         body(vs + (i,)),
     )
+
+
+# The names the generated source uses besides its own.
+_GLOBALS = {"Now": Now, "Again": Again, "partial": partial, "_search": _search,
+            "_comp_from": _comp_from, "_primrec_bind": _primrec_bind, "_min_bind": _min_bind}
 
 
 class _Budget:
@@ -281,45 +414,46 @@ def _oracle(code: RecCode, xs: Tuple[int, ...], budget: _Budget) -> int:
     return y
 
 
-_TOKEN = re.compile(r"\s*(Z|S|P|C|R|M|\(|\)|;|,|\d+)")
+# A token, or the first character that starts none.
+_TOKEN = re.compile(r"\s*(?:([ZSPCRM();,]|\d+)|(\S))")
 
 
-# Deepest parenthesis nesting ``parse_code`` accepts.  The parser, the printer,
-# ``arity``, the compiler behind ``evaluate`` and the oracle recurse per level;
-# at this bound they fit the stack.
+# Deepest parenthesis nesting ``parse_code`` accepts.  The parser and the
+# oracle recurse per level; at this bound they fit the stack.  The printer,
+# ``arity`` and ``evaluate`` walk a code on an explicit stack, so a code
+# built directly may nest deeper.
 MAX_NESTING = 200
 
 
-def _tokenize(text: str) -> list[tuple[str, int]]:
+def _tokenize(text: str) -> list[tuple[Optional[str], int]]:
+    # The last token is ``None`` at the end of the text.
     tokens = []
-    pos = 0
     depth = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            if text[pos:].strip() == "":
-                break
-            raise ParseError(pos, f"unexpected character {text[pos]!r}")
-        tok = m.group(1)
-        depth += {"(": 1, ")": -1}.get(tok, 0)
-        if depth > MAX_NESTING:
-            raise ParseError(m.start(1), f"parentheses nest deeper than {MAX_NESTING}")
+    for m in _TOKEN.finditer(text):
+        tok = m[1]
+        if tok is None:
+            raise ParseError(m.start(2), f"unexpected character {m[2]!r}")
+        if tok == "(":
+            depth += 1
+            if depth > MAX_NESTING:
+                raise ParseError(m.start(1), f"parentheses nest deeper than {MAX_NESTING}")
+        elif tok == ")":
+            depth -= 1
         tokens.append((tok, m.start(1)))
-        pos = m.end()
+    tokens.append((None, len(text)))
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[tuple[str, int]], length: int):
+    def __init__(self, tokens: list[tuple[Optional[str], int]]):
         self.tokens = tokens
         self.k = 0
-        self.length = length
 
     def peek(self) -> Optional[str]:
-        return self.tokens[self.k][0] if self.k < len(self.tokens) else None
+        return self.tokens[self.k][0]
 
     def pos(self) -> int:
-        return self.tokens[self.k][1] if self.k < len(self.tokens) else self.length
+        return self.tokens[self.k][1]
 
     def take(self, expected: str) -> None:
         if self.peek() != expected:
@@ -374,7 +508,7 @@ class _Parser:
 
 def parse_code(text: str) -> RecCode:
     """Parse the concrete syntax (at most ``MAX_NESTING`` deep); arity-check it."""
-    parser = _Parser(_tokenize(text), len(text))
+    parser = _Parser(_tokenize(text))
     code = parser.code()
     if parser.peek() is not None:
         raise ParseError(parser.pos(), f"trailing input {parser.peek()!r}")
@@ -384,20 +518,22 @@ def parse_code(text: str) -> RecCode:
 
 def print_code(code: RecCode) -> str:
     """Inverse of ``parse_code``."""
-    if isinstance(code, Zero):
+    return _walk(code, _text)[1]
+
+
+def _text(node: RecCode, n: int, texts: list[str]) -> str:
+    if isinstance(node, Zero):
         return "Z"
-    if isinstance(code, Succ):
+    if isinstance(node, Succ):
         return "S"
-    if isinstance(code, Proj):
-        return f"P {code.i} {code.n}"
-    if isinstance(code, Comp):
-        inner = ", ".join(print_code(g) for g in code.gs)
-        return f"C({print_code(code.f)}; {inner})"
-    if isinstance(code, PrimRec):
-        return f"R({print_code(code.f)}; {print_code(code.g)})"
-    if isinstance(code, Min):
-        return f"M({print_code(code.f)})"
-    raise IllFormed("top", f"unknown code node {code!r}")
+    if isinstance(node, Proj):
+        return f"P {node.i} {node.n}"
+    if isinstance(node, Comp):
+        f, *gs = texts
+        return f"C({f}; {', '.join(gs)})"
+    if isinstance(node, PrimRec):
+        return "R({}; {})".format(*texts)
+    return f"M({texts[0]})"
 
 
 def _corpus() -> dict[str, RecCode]:

@@ -1,5 +1,7 @@
 """Codes for partial recursive functions: arity, evaluation, parsing."""
 
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -240,3 +242,81 @@ class TestNestingBound:
         text = "C(S; " * levels + print_code(CORPUS["ident_by_min"]) + ")" * levels
         with pytest.raises(ParseError):
             parse_code(text)
+
+
+def _nested_loops(depth):
+    """A binary code whose ``R`` steps nest ``depth`` deep over ``plus``:
+    h(0) is ``plus`` and h(d)(x, y) = R(P 1 1; C(h(d - 1); P 3 3, P 2 3))."""
+    code = CORPUS["plus"]
+    for _ in range(depth):
+        code = PrimRec(Proj(1, 1), Comp(code, (Proj(3, 3), Proj(2, 3))))
+    return code
+
+
+def _nested_value(depth, x, y):
+    """h(depth)(x, y) in plain Python: acc = x, then acc = h(depth - 1)(acc, k) for k < y."""
+    if depth == 0:
+        return x + y
+    for k in range(y):
+        x = _nested_value(depth - 1, x, k)
+    return x
+
+
+class TestDeepStepFreeCodes:
+    """Step-free codes built directly, deeper than the parser accepts or
+    than CPython nests the blocks of one function."""
+
+    def test_2000_deep_tower(self):
+        levels = 2000
+        code = _succ_tower(Proj(1, 1), levels)
+        text = "P 1 1"
+        for _ in range(levels):
+            text = f"C(S; {text})"
+        assert arity(code) == 1
+        assert print_code(code) == text
+        assert run_for(evaluate(code, [now(3)]), 10) == Converged(3 + levels, 0)
+
+    def test_loops_nested_past_the_block_limit(self):
+        code = _nested_loops(25)
+        for x in range(3):
+            for y in range(4):
+                want = _nested_value(25, x, y)
+                assert oracle_eval(code, [x, y], 1_000_000) == want
+                assert run_for(evaluate(code, [now(x), now(y)]), FUEL) == Converged(want, 0)
+
+
+class TestResumedSearch:
+    """A step-free search cut by fuel resumes from ``Exhausted.rest``."""
+
+    def test_cut_and_resumed_search_spends_the_same_steps(self):
+        whole = run_for(evaluate(CORPUS["ident_by_min"], [now(30)]), FUEL)
+        assert whole == Converged(30, 30)
+        for cut in (1, 7, 29):
+            first = run_for(evaluate(CORPUS["ident_by_min"], [now(30)]), cut)
+            assert isinstance(first, Exhausted)
+            rest = run_for(first.rest, FUEL)
+            assert rest == Converged(30, 30 - cut)
+            # The rest is a pure value: running it again gives the same.
+            assert run_for(first.rest, FUEL) == rest
+
+    def test_search_resumed_in_pieces(self):
+        r, spent = run_for(evaluate(CORPUS["ident_by_min"], [now(30)]), 4), 4
+        while isinstance(r, Exhausted):
+            r, spent = run_for(r.rest, 4), spent + 4
+        assert r.value == 30 and spent - 4 + r.steps == 30
+
+
+def test_generated_code_leaves_no_cyclic_garbage():
+    # The generated functions must not reach themselves through their
+    # globals or closures, as ``delay._Cell`` requires of step closures.
+    gc.collect()
+    gc.disable()
+    try:
+        assert run_for(evaluate(CORPUS["mult"], [now(6), now(7)]), FUEL) == Converged(42, 0)
+        d = evaluate(_nested_loops(25), [now(2), now(3)])
+        assert run_for(d, FUEL) == Converged(_nested_value(25, 2, 3), 0)
+        code = Comp(CORPUS["plus"], (CORPUS["ident_by_min"], Proj(1, 1)))
+        assert run_for(evaluate(code, [now(3)]), FUEL) == Converged(6, 3)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
