@@ -7,12 +7,13 @@ can observe any ``Delay`` safely; binds nested to any depth re-associate
 as they step, so a peel costs amortised O(1) host work and stack, and a
 race round O(live racers), with no host nesting.  A bind node has the class
 of the step it runs, so tagged steps keep their tags.  ``delay_by(v, n)``
-is one node for its whole run of ``n`` steps: ``rest()`` peels one, and
-``run_for`` cuts the run in O(1), still charging one fuel per step.  An
-``unfold`` is one node too, which ``run_for`` steps in one loop over its
-pure step function, with no cell per step.  The constructors
-``now``/``later`` are the classes ``Now``/``Later``; an ``unfold`` step
-finishes with ``Done``, which is ``Now``.
+is one node for its whole run of ``n`` steps, and an ``unfold`` is one
+node over its pure step function: ``rest()`` peels one step, and the peel
+loops cut a run, an unfold or a knot (a node that is its own tail, such as
+``never()``), bare or at the head of binds, in one go while charging one
+fuel per step.  One function, ``_skip``, runs every node's thunk.  The
+constructors ``now``/``later`` are the classes ``Now``/``Later``; an
+``unfold`` step finishes with ``Done``, which is ``Now``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from itertools import count
-from types import FunctionType
 from typing import Any, Callable, Generic, Sequence, TypeVar, Union
 
 A = TypeVar("A")
@@ -71,11 +71,13 @@ class Now(Delay[A]):
         return f"Now({self.value!r})"
 
 
-class _Cell:
-    """A memoised thunk: ``force()`` runs it once and keeps the result.
+class Later(Delay[A]):
+    """One computation step; ``rest()`` forces the next stage; the thunk must be pure.
 
+    The thunk is a closure, or one of the tagged tuples ``_Run``,
+    ``_Unfold`` and ``_Bind``, and ``_skip`` is the one code that runs it.
     Two conditions keep a forced chain from holding more than its live
-    state.  The thunk is dropped once forced, so a forced cell no longer
+    state.  The thunk is dropped once forced, so a forced node no longer
     reaches what its step closure captured.  And a step closure must never
     reach its own function (no nested function that calls itself): such a
     function and its closure cell form a cycle that keeps a computation's
@@ -84,30 +86,19 @@ class _Cell:
 
     __slots__ = ("_thunk", "_forced")
 
-    def __init__(self, thunk: Callable[[], Any] | None):
+    def __init__(self, thunk: Callable[[], Delay[A]] | tuple | None):
         self._thunk = thunk
         self._forced = None
 
-    def force(self):
-        if self._thunk is not None:
-            self._forced = self._thunk()
-            self._thunk = None
-        return self._forced
+    def rest(self) -> Delay[A]:
+        return self._forced if self._thunk is None else _skip(self, 1)[0]
 
     @classmethod
     def knot(cls):
-        """A forced cell whose value is the cell itself."""
-        cell = cls(None)
-        cell._forced = cell
-        return cell
-
-
-class Later(_Cell, Delay[A]):
-    """One computation step; ``rest()`` forces the next stage; the thunk must be pure."""
-
-    __slots__ = ()
-
-    rest = _Cell.force
+        """A forced node whose value is the node itself."""
+        node = cls(None)
+        node._forced = node
+        return node
 
     def __repr__(self) -> str:
         return "Later(...)"
@@ -166,13 +157,10 @@ def _run_node(cls: type, n: int, tail: Delay[A], negative: str) -> Delay[A]:
 
 class _Run(tuple):
     """The thunk ``(cls, n, tail)`` of a node of class ``cls`` that stands for
-    ``n`` >= 1 steps of that class before ``tail``.  Called, it peels one
-    step; ``drop`` peels up to a budget at once, in O(1)."""
+    ``n`` >= 1 steps of that class before ``tail``; ``drop`` peels up to a
+    budget at once, in O(1)."""
 
     __slots__ = ()
-
-    def __call__(self) -> Delay:
-        return self.drop(1)[0]
 
     def drop(self, budget: int | float) -> tuple[Delay, int]:
         cls, n, tail = self
@@ -186,7 +174,7 @@ def unfold(seed: S, step: Callable[[S], Union[Again[S], Done[B]]]) -> Delay[B]:
 
     ``step`` plays the role of a coalgebra: ``Done(b)``, which is ``Now(b)``, is
     the result; ``Again(s)`` emits a step and continues from ``s``.  The
-    first ``step`` is taken now, and the node after it is one cell whose
+    first ``step`` is taken now, and the node after it is one node whose
     steps the peel loops take in one loop, unmemoised: so ``step`` must be
     pure, as running the same node twice calls it again.
     """
@@ -198,13 +186,10 @@ def unfold(seed: S, step: Callable[[S], Union[Again[S], Done[B]]]) -> Delay[B]:
 
 class _Unfold(tuple):
     """The thunk ``(step, s)`` of an ``unfold`` node: one step, then
-    ``unfold(s, step)``.  Called, it peels one step; ``drop`` peels up to
-    a budget in one loop over ``step``."""
+    ``unfold(s, step)``; ``drop`` peels up to a budget in one loop over
+    ``step``."""
 
     __slots__ = ()
-
-    def __call__(self) -> Delay:
-        return self.drop(1)[0]
 
     def drop(self, budget: int | float) -> tuple[Delay, int]:
         step, s = self
@@ -254,19 +239,6 @@ class _Bind(tuple):
 
     __slots__ = ()
 
-    def __call__(self) -> Delay:
-        x, ks = self.open()
-        return _resume(x.rest(), ks)
-
-    def open(self) -> tuple[Delay, Any]:
-        """The node whose step this bind runs, and every continuation after it."""
-        x, ks = self
-        # Open unforced bind nodes, not force them: a left chain is walked once, not per step.
-        while type(x._thunk) is _Bind:
-            x, inner = x._thunk
-            ks = (inner, ks)
-        return x, ks
-
 
 def _resume(x: Delay, ks: Any) -> Delay:
     # Feed ``x``, once it is a value, to the continuation tree ``ks``, or
@@ -287,25 +259,30 @@ def _resume(x: Delay, ks: Any) -> Delay:
 def _skip(x: Later, budget: int | float) -> tuple[Delay, int]:
     """Peel ``k`` of at most ``budget`` >= 1 steps off ``x``; return the rest and ``k``.
 
-    A run or an unfold, bare or at the head of binds, is cut in one
-    ``drop``, and every step cut has ``x``'s class.  The binds are opened
-    as ``_Bind`` opens them; when that peels one step, it is memoised in
-    ``x``, as ``x.rest()`` would, so the continuations run once.  A knot,
-    such as ``never()``, is a run without end.  Any other node peels one
-    memoised step.
+    The one code that runs a thunk.  A run or an unfold is cut in one
+    ``drop``, and a knot, such as ``never()``, is a run without end; each,
+    bare or at the head of binds, is cut at once, and every step cut has
+    ``x``'s class.  A closure thunk peels one step.  The one memo rule: a
+    peel of exactly one step is memoised in ``x``, whatever its thunk, so
+    a bind's continuations run once; a cut of more memoises nothing.
     """
     t = x._thunk
     if type(t) in _BULK:
-        return t.drop(budget)
-    if t is None:
+        rest, k = t.drop(budget)
+    elif t is None:
         rest = x._forced
         return rest, budget if rest is x else 1
-    if type(t) is not _Bind:
-        return x.rest(), 1
-    head, ks = t.open()
-    t = head._thunk
-    rest, k = t.drop(budget) if type(t) in _BULK else (head.rest(), 1)
-    rest = _resume(rest, ks)
+    elif type(t) is _Bind:
+        head, ks = t
+        # Open unforced bind nodes, not force them: a left chain is walked once, not per step.
+        while type(head._thunk) is _Bind:
+            head, inner = head._thunk
+            ks = (inner, ks)
+        t = head._thunk
+        rest, k = t.drop(budget) if type(t) in _BULK else _skip(head, budget)
+        rest = _resume(rest, ks)
+    else:
+        rest, k = t(), 1
     if k == 1:
         x._forced, x._thunk = rest, None
     return rest, k
@@ -389,7 +366,7 @@ def _check_fuel(fuel: int) -> None:
 def run_for(x: Delay[A], fuel: int) -> RunResult[A]:
     """Peel at most ``fuel`` steps; report the value or the remainder.
 
-    Every step costs one fuel; a run of them is peeled at once, and an
+    Every step costs one fuel; a run or a knot is cut at once, and an
     unfold's steps in one loop over its step function.
     """
     _check_fuel(fuel)
@@ -399,9 +376,5 @@ def run_for(x: Delay[A], fuel: int) -> RunResult[A]:
             return Converged(x.value, steps)
         if steps == fuel:
             return Exhausted(x)
-        if type(x._thunk) is FunctionType:
-            x = x.rest()
-            steps += 1
-        else:
-            x, k = _skip(x, fuel - steps)
-            steps += k
+        x, k = _skip(x, fuel - steps)
+        steps += k

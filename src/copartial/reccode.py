@@ -185,19 +185,21 @@ def arity(code: RecCode) -> int:
 def evaluate(code: RecCode, args: Sequence[Delay[int]]) -> Delay[int]:
     """Force the delayed arguments once, left to right; run ``code`` on their values.
 
-    The walk that checks the code's arities also emits Python source for
-    it, compiled once per call.  The source holds only integers that the
-    walk validated and generated names.  A part without ``Min`` takes no
-    step: it is one function of straight-line code with a ``for`` loop per
-    ``R``.  A ``Min`` over such a part is an ``unfold`` whose step is a
+    The code's arities, and its arity against ``args``, are checked before
+    any source exists (an ``M`` body's source names each argument).  Then
+    one walk emits Python source for it, compiled once per call.  The
+    source holds only integers that the check validated and generated
+    names.  A part without ``Min`` takes no step: it is one function of
+    straight-line code with a ``for`` loop per ``R``.  A ``Min`` over such a part is an ``unfold`` whose step is a
     generated probe, one step per failed probe.  A ``C``, ``R`` or ``M``
     with a ``Min`` in its parts binds their generated functions.
     """
-    emitter = _Emitter()
-    n, form = _walk(code, emitter.combine)
+    n = arity(code)
     xs = tuple(args)
     if len(xs) != n:
         raise ValueError(f"arity mismatch: code takes {n} arguments, got {len(xs)}")
+    emitter = _Emitter()
+    form = _walk(code, emitter.combine)[1]
     top = emitter.lifted(form, n)
     ns = dict(_GLOBALS)
     exec(compile("\n".join(emitter.lines), "<reccode>", "exec"), ns)

@@ -2,6 +2,8 @@
 
 import io
 
+import pytest
+
 from copartial.cli import main
 from copartial.reccode import MAX_NESTING
 
@@ -90,6 +92,78 @@ class TestDemos:
     def test_human_mode_has_header(self):
         _, out, _ = run_cli("demo", "nest")
         assert out.splitlines()[0] == "# copartial demo fuel=100000"
+
+
+# Every line of each demo as the package printed it when these were pinned;
+# the step counts in them must not move when the stepping code changes.
+GOLDEN_DEMOS = {
+    "nest": (
+        ["--machine", "demo", "nest"],
+        [
+            "NEST n=0 CONVERGED 0 steps=1",
+            "NEST n=1 CONVERGED 0 steps=3",
+            "NEST n=2 CONVERGED 0 steps=5",
+            "NEST n=3 CONVERGED 0 steps=7",
+            "NEST n=4 CONVERGED 0 steps=9",
+            "NEST n=5 CONVERGED 0 steps=11",
+            "NEST n=6 CONVERGED 0 steps=13",
+            "NEST n=7 CONVERGED 0 steps=15",
+            "NEST n=8 CONVERGED 0 steps=17",
+            "NEST n=9 CONVERGED 0 steps=19",
+            "NEST n=10 CONVERGED 0 steps=21",
+        ],
+    ),
+    "devil91": (
+        ["--machine", "demo", "devil91"],
+        [
+            "DEVIL91 n=0 CONVERGED 91 steps=202",
+            "DEVIL91 n=1 CONVERGED 91 steps=200",
+            "DEVIL91 n=42 CONVERGED 91 steps=118",
+            "DEVIL91 n=99 CONVERGED 91 steps=4",
+            "DEVIL91 n=100 CONVERGED 91 steps=2",
+            "DEVIL91 n=101 CONVERGED 91 steps=0",
+            "DEVIL91 n=111 CONVERGED 101 steps=0",
+            "DEVIL91 n=200 CONVERGED 190 steps=0",
+        ],
+    ),
+    "sloth": (
+        ["--machine", "demo", "sloth"],
+        [
+            "SLOTH lazy-g14 succs=0 ended=zero",
+            "SLOTH lazy-f13 succs=1000 ended=exhausted",
+            "SLOTH strict-g14 EXHAUSTED fuel=1000",
+        ],
+    ),
+    "factorial-fix": (
+        ["--machine", "demo", "factorial-fix"],
+        [
+            "FACTORIAL n=0 CONVERGED 1 steps=2",
+            "FACTORIAL n=1 CONVERGED 1 steps=3",
+            "FACTORIAL n=2 CONVERGED 2 steps=4",
+            "FACTORIAL n=3 CONVERGED 6 steps=5",
+            "FACTORIAL n=4 CONVERGED 24 steps=6",
+            "FACTORIAL n=5 CONVERGED 120 steps=7",
+            "FACTORIAL n=6 CONVERGED 720 steps=8",
+            "FACTORIAL n=7 CONVERGED 5040 steps=9",
+            "FACTORIAL n=8 CONVERGED 40320 steps=10",
+        ],
+    ),
+    "sloth-fuel-20000": (
+        ["--machine", "--fuel", "20000", "demo", "sloth"],
+        [
+            "SLOTH lazy-g14 succs=0 ended=zero",
+            "SLOTH lazy-f13 succs=20000 ended=exhausted",
+            "SLOTH strict-g14 EXHAUSTED fuel=20000",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, lines", GOLDEN_DEMOS.values(), ids=GOLDEN_DEMOS.keys())
+def test_demo_output_is_golden(argv, lines):
+    code, out, err = run_cli(*argv)
+    assert (code, err) == (0, "")
+    assert out == "".join(line + "\n" for line in lines)
 
 
 class TestCheckLaws:

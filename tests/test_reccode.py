@@ -1,6 +1,7 @@
 """Codes for partial recursive functions: arity, evaluation, parsing."""
 
 import gc
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -106,6 +107,26 @@ class TestEvaluate:
     def test_arity_mismatch_raises(self):
         with pytest.raises(ValueError):
             evaluate(CORPUS["plus"], [now(1)])
+
+    @pytest.mark.parametrize(
+        "code, error",
+        [
+            (parse_code("M(P 1 1000000)"), ValueError),
+            (Comp(Min(Proj(1, 10**6)), (Zero(),)), IllFormed),
+        ],
+        ids=["mismatched", "ill-formed"],
+    )
+    def test_huge_arity_is_rejected_before_any_source(self, code, error):
+        # An ``M`` body's source names each of its arguments, so emitting
+        # the search of a million-argument body first would cost ~100 MB.
+        tracemalloc.start()
+        try:
+            with pytest.raises(error):
+                evaluate(code, [now(0)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     @given(st.integers(min_value=0, max_value=8),
            st.integers(min_value=0, max_value=8),
@@ -308,7 +329,7 @@ class TestResumedSearch:
 
 def test_generated_code_leaves_no_cyclic_garbage():
     # The generated functions must not reach themselves through their
-    # globals or closures, as ``delay._Cell`` requires of step closures.
+    # globals or closures, as ``delay.Later`` requires of step closures.
     gc.collect()
     gc.disable()
     try:

@@ -16,7 +16,7 @@ from copartial import (
 )
 from copartial.fixpoint import factorial_operator, fix
 from copartial.lazy import (
-    ZERO, Ended, lazy_of, lazy_plus, observe, sloth_f, sloth_strict_g, step, succ,
+    ZERO, Ended, lazy_of, lazy_plus, observe, omega, sloth_f, sloth_strict_g, step, succ,
 )
 from copartial.nested import DevilSpec, cps_fix, devil, nest
 from copartial.reccode import CORPUS, Comp, Min, PrimRec, Proj, Succ, evaluate
@@ -114,6 +114,30 @@ class TestLongRuns:
         assert head is not None
         assert retained < 2**20
 
+    @pytest.mark.parametrize(
+        "make, answers",
+        [
+            (lambda: lazy_plus(lazy_of(1), omega()),
+             lambda head: observe(head, 200_000) == (200_000, Ended.EXHAUSTED)),
+            (lambda: bind(now, omega()),
+             lambda head: isinstance(run_for(head, 200_000), Exhausted)),
+        ],
+        ids=["observe-plus", "run_for-bind"],
+    )
+    def test_a_knot_at_the_head_of_a_bind_whose_head_is_kept_retains_no_chain(self, make, answers):
+        # A knot is a run without end at the head of a bind as well as bare,
+        # so it is cut at once, and no memoised node per step hangs off the head.
+        tracemalloc.start()
+        try:
+            head = make()
+            before = tracemalloc.get_traced_memory()[0]
+            assert answers(head)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert head is not None
+        assert retained < 2**20
+
     def test_sloth_observed_with_fuel_20000(self):
         tracemalloc.start()
         try:
@@ -190,7 +214,7 @@ def _self_naming_nested_functions(tree):
 
 
 def test_no_nested_function_names_itself():
-    # The condition ``delay._Cell`` states: a nested function that reaches
+    # The condition ``delay.Later`` states: a nested function that reaches
     # itself forms a cycle with its closure cell, which keeps a whole
     # computation alive until the cycle collector runs.
     found = set()
