@@ -4,13 +4,15 @@ Codes are built from zero, successor, projections, composition, primitive
 recursion and minimization, and denote maps from value tuples to delayed
 naturals whose only steps are failed minimization probes.  ``evaluate``
 forces its delayed arguments once, left to right, and compiles the code
-once, to generated Python source.  A part without minimization is
-primitive recursive: it is one generated function of straight-line code
-with a ``for`` loop per recursion, and takes no step.  A minimization over
-such a part is an ``unfold`` whose step is a generated probe.  The source
-holds only integers that the arity check validated and generated names.
-``arity``, ``print_code`` and the compiler are one walk on an explicit
-stack, so they take a code of any depth.  ``oracle_eval`` is an
+once, to one generated Python function: straight-line code with a ``for``
+loop per recursion and, if the code steps, a ``while`` loop per
+minimization that yields once per failed probe.  A generator is the
+delay monad's shape written directly: each ``yield`` is one step and its
+``return`` the value.  A code that is exactly a minimization over a
+step-free body is an ``unfold`` whose step is a generated probe.  The
+source holds only integers that the arity check validated and generated
+names.  ``arity``, ``print_code`` and the compiler are one walk on an
+explicit stack, so they take a code of any depth.  ``oracle_eval`` is an
 independent budgeted big-step evaluator over plain integers, to check it.
 
 Concrete syntax (whitespace-insensitive)::
@@ -27,7 +29,7 @@ from functools import partial
 from itertools import count
 from typing import Callable, Optional, Sequence, Tuple
 
-from .delay import Again, Delay, Now, _check_fuel, bind, later, now, strict_tuple, unfold
+from .delay import Again, Delay, Later, Now, _check_fuel, bind, strict_tuple, unfold
 
 __all__ = [
     "RecCode",
@@ -185,29 +187,55 @@ def arity(code: RecCode) -> int:
 def evaluate(code: RecCode, args: Sequence[Delay[int]]) -> Delay[int]:
     """Force the delayed arguments once, left to right; run ``code`` on their values.
 
-    The code's arities, and its arity against ``args``, are checked before
-    any source exists (an ``M`` body's source names each argument).  Then
-    one walk emits Python source for it, compiled once per call.  The
-    source holds only integers that the check validated and generated
-    names.  A part without ``Min`` takes no step: it is one function of
-    straight-line code with a ``for`` loop per ``R``.  A ``Min`` over such a part is an ``unfold`` whose step is a
-    generated probe, one step per failed probe.  A ``C``, ``R`` or ``M``
-    with a ``Min`` in its parts binds their generated functions.
+    One walk checks the code's arities and emits Python source for it,
+    compiled once per call.  The walk names no argument of the code, so
+    its arity is compared with ``args`` right after it, before any name
+    per argument exists.  The source holds only integers that the walk
+    validated and generated names.  A code without ``Min`` takes no step:
+    it is one function of straight-line code with a ``for`` loop per
+    ``R``.  A code with a ``Min`` is one generator of the same form with a
+    ``while`` loop per ``M`` that yields once per failed probe, and each
+    ``yield`` is one memoised ``Later``.  A code that is exactly an ``M``
+    over a step-free body is an ``unfold`` whose step is a generated probe,
+    so a run cuts its failed probes in one loop.
     """
-    n = arity(code)
+    emitter = _Emitter()
+    n, (chunks, atom, _, steps) = _walk(code, emitter.combine)
     xs = tuple(args)
     if len(xs) != n:
         raise ValueError(f"arity mismatch: code takes {n} arguments, got {len(xs)}")
-    emitter = _Emitter()
-    form = _walk(code, emitter.combine)[1]
-    top = emitter.lifted(form, n)
+    search = isinstance(code, Min) and not emitter.body[3]
+    if search:
+        chunks, atom, _, _ = emitter.body
+        params = [emitter.fresh() for _ in range(n + 1)]
+        body = [*chunks, f"return Now({{{n}}}) if {atom} == 0 else Again({{{n}}} + 1)"]
+    else:
+        params = [emitter.fresh() for _ in range(n)]
+        body = [f"[{', '.join(params)}] = vs", *chunks, f"return {atom}" if steps else f"return Now({atom})"]
+    top = emitter.define(params if search else ["vs"], "\n".join(body).format(*params))
     ns = dict(_GLOBALS)
     exec(compile("\n".join(emitter.lines), "<reccode>", "exec"), ns)
     run = ns[top]
     # A generated function left in the globals it runs in would be a cycle.
     for name in emitter.names:
         del ns[name]
-    return bind(run, strict_tuple(xs))
+    if search:
+        return bind(lambda vs: unfold(0, partial(run, *vs)), strict_tuple(xs))
+    return bind((lambda vs: _steps(run(vs))) if steps else run, strict_tuple(xs))
+
+
+def _steps(gen) -> Delay[int]:
+    # Run a generated generator to its next ``yield``, one step, or to its value.
+    # The thunk advances ``gen``, so it runs once: ``_skip`` memoises every
+    # closure thunk's step.  An exception raised in ``gen`` (an interrupt,
+    # say) closes it, and the step it cut cannot be taken again.
+    if gen.gi_frame is None:
+        raise RuntimeError("this run was cut by an exception and cannot resume")
+    try:
+        next(gen)
+    except StopIteration as stop:
+        return Now(stop.value)
+    return Later(partial(_steps, gen))
 
 
 # CPython compiles at most 20 statically nested blocks in one function.
@@ -219,6 +247,9 @@ _MAX_LOOPS = 20
 # which grew it by ~0.4 MB over a few thousand codes.
 _NAMES = tuple(sys.intern(f"x{n}") for n in range(64))
 
+# Argument ``j`` of a part, in the part's source.
+_PLACEHOLDER = re.compile(r"\{(\d+)\}")
+
 
 def _indented(text: str) -> str:
     return "    " + text.replace("\n", "\n    ")
@@ -227,19 +258,23 @@ def _indented(text: str) -> str:
 class _Emitter:
     """Source for a code, built bottom-up as the walk combines its nodes.
 
-    A part without ``Min`` is ``(chunks, atom, loops)``: its statements as
-    chunks of lines (an assignment into a fresh local per ``Z`` or ``S``, a
-    ``for`` loop per ``R``); the name that holds its value; and the depth of
-    its nested ``for`` loops.  Its argument ``j`` is the placeholder ``{j}``,
-    filled in by ``str.format`` where the part is used.  A part with ``Min``
-    is the name bound to a function from a value tuple to a ``Delay``.
+    A part is ``(chunks, atom, loops, steps)``: its statements as chunks of
+    lines (an assignment into a fresh local per ``Z`` or ``S``, a ``for``
+    loop per ``R``, and a ``while`` loop per ``M`` that yields once per
+    failed probe); the name that holds its value; the depth of its nested
+    loops; and whether it yields.  Its argument ``j`` is the placeholder
+    ``{j}``, filled in by ``str.format`` where the part is used.  A loop
+    body that would nest past CPython's block limit is a function of the
+    placeholders it reads, called with ``yield from`` if it yields.
     """
 
     def __init__(self):
         self.lines: list[str] = []
-        # The names the source binds, and the split steps among them.
+        # The names the source binds, and the split loop bodies among them.
         self.names: list[str] = []
-        self.steps: list[str] = []
+        self.splits: list[str] = []
+        # The body of the last ``M`` combined: the whole code's, if it is an ``M``.
+        self.body = None
         self._count = count()
 
     def fresh(self) -> str:
@@ -247,117 +282,64 @@ class _Emitter:
         return _NAMES[n] if n < len(_NAMES) else f"x{n}"
 
     def define(self, params: list[str], body: str) -> str:
-        # The split steps defined so far are defaults: no global lookup reaches them.
+        # The split bodies defined so far are defaults: no global lookup reaches them.
         name = self.fresh()
-        defaults = "".join([f", {step}={step}" for step in self.steps])
-        self.lines += [f"def {name}({', '.join(params)}{defaults}):", _indented(body)]
+        signature = ", ".join([*params, *[f"{split}={split}" for split in self.splits]])
+        self.lines += [f"def {name}({signature}):", _indented(body)]
         self.names.append(name)
         return name
 
-    def bound(self, expr: str) -> str:
-        name = self.fresh()
-        self.lines.append(f"{name} = {expr}")
-        self.names.append(name)
-        return name
-
-    def lifted(self, form, n: int) -> str:
-        """A function from a tuple of ``n`` values to a ``Delay`` for ``form``."""
-        if type(form) is str:
-            return form
-        chunks, atom, _ = form
-        xs = [self.fresh() for _ in range(n)]
-        body = "\n".join([f"[{', '.join(xs)}] = vs", *chunks, f"return Now({atom})"])
-        return self.define(["vs"], body.format(*xs))
-
-    def combine(self, node: RecCode, n: int, forms: list):
+    def combine(self, node: RecCode, n: int, forms: list) -> tuple:
         if isinstance(node, Proj):
-            return [], f"{{{node.i - 1}}}", 0
+            return [], f"{{{node.i - 1}}}", 0, False
         if isinstance(node, (Zero, Succ)):
             x = self.fresh()
-            return [f"{x} = 0" if isinstance(node, Zero) else f"{x} = {{0}} + 1"], x, 0
-        if isinstance(node, Min):
-            return self.search(n, forms[0])
-        if str in map(type, forms):
-            return self.delayed(node, n, forms)
+            return [f"{x} = 0" if isinstance(node, Zero) else f"{x} = {{0}} + 1"], x, 0, False
         if isinstance(node, Comp):
-            (outer, atom, loops), *gs = forms
+            (outer, atom, loops, steps), *gs = forms
             chunks, ys = [], []
-            for more, y, deeper in gs:
+            for more, y, deeper, stepping in gs:
                 chunks += more
                 ys.append(y)
-                loops = max(loops, deeper)
+                loops, steps = max(loops, deeper), steps or stepping
             if outer:
                 chunks.append("\n".join(outer).format(*ys))
-            return chunks, atom.format(*ys), loops
-        (chunks, atom, loops), (step, value, deeper) = forms
+            return chunks, atom.format(*ys), loops, steps
+        if isinstance(node, Min):
+            self.body = self.nestable(forms[0])
+            body, value, deeper, _ = self.body
+            # Probe ``i`` is the body's last argument.
+            i = self.fresh()
+            text = "\n".join([*body, f"if {value} == 0:", "    break", f"{i} += 1", "yield"])
+            return [f"{i} = 0", "while True:", _indented(text.replace(f"{{{n}}}", i))], i, deeper + 1, True
+        (chunks, atom, loops, steps), step = forms
         k = self.fresh()
         # The accumulator is the base's own local, or a copy of an argument.
         acc = self.fresh() if atom[0] == "{" else atom
         if acc != atom:
             chunks.append(f"{acc} = {atom}")
-        if deeper < _MAX_LOOPS:
-            # The step's arguments are the head's, then ``k`` and the accumulator.
-            body = "\n".join([*step, f"{acc} = {value}"]).replace(f"{{{n - 1}}}", k).replace(f"{{{n}}}", acc)
-            loops = max(loops, deeper + 1)
-        else:
-            # Too deep for one function: the step starts a fresh one.
-            xs = [self.fresh() for _ in range(n + 1)]
-            self.steps.append(self.define(xs, "\n".join([*step, f"return {value}"]).format(*xs)))
-            args = ", ".join([*[f"{{{j}}}" for j in range(n - 1)], k, acc])
-            body, loops = f"{acc} = {self.steps[-1]}({args})", max(loops, 1)
-        chunks += [f"for {k} in range({{{n - 1}}}):", _indented(body)]
-        return chunks, acc, loops
+        body, value, deeper, stepping = self.nestable(step)
+        # The step's arguments are the head's, then ``k`` and the accumulator.
+        text = "\n".join([*body, f"{acc} = {value}"]).replace(f"{{{n - 1}}}", k).replace(f"{{{n}}}", acc)
+        chunks += [f"for {k} in range({{{n - 1}}}):", _indented(text)]
+        return chunks, acc, max(loops, deeper + 1), steps or stepping
 
-    def search(self, n: int, form) -> str:
-        # ``M`` over a delayed body binds each probe; over a step-free one it is an unfold.
-        if type(form) is str:
-            return self.bound(f"partial(_min_bind, {form})")
-        chunks, atom, _ = form
-        xs = [self.fresh() for _ in range(n + 1)]
-        body = "\n".join([*chunks, f"return Now({{{n}}}) if {atom} == 0 else Again({{{n}}} + 1)"])
-        return self.bound(f"partial(_search, {self.define(xs, body.format(*xs))})")
-
-    def delayed(self, node: RecCode, n: int, forms: list) -> str:
-        # A ``C`` or ``R`` with a ``Min`` in its parts binds their functions.
-        if isinstance(node, Comp):
-            f, *gs = forms
-            inner = ", ".join([self.lifted(g, n) for g in gs])
-            return self.bound(f"partial(_comp_from, {self.lifted(f, len(gs))}, ({inner},))")
-        base, step = forms
-        return self.bound(f"partial(_primrec_bind, {self.lifted(base, n - 1)}, {self.lifted(step, n + 1)})")
-
-
-def _comp_from(f, gs, vs: tuple[int, ...], ys: tuple[int, ...] = ()) -> Delay[int]:
-    # ``ys`` holds the values of the first len(ys) inner codes; the next runs through ``bind``.
-    if len(ys) == len(gs):
-        return f(ys)
-    return bind(lambda y: _comp_from(f, gs, vs, ys + (y,)), gs[len(ys)](vs))
-
-
-def _primrec_bind(f, g, vs: tuple[int, ...]) -> Delay[int]:
-    head = vs[:-1]
-    acc = f(head)
-    for k in range(vs[-1]):
-        acc = bind(lambda a, k=k: g(head + (k, a)), acc)
-    return acc
-
-
-def _search(probe, vs: tuple[int, ...]) -> Delay[int]:
-    # Probe 0, 1, ... of a step-free body, one step per failed probe.
-    return unfold(0, partial(probe, *vs))
-
-
-def _min_bind(body, vs: tuple[int, ...], i: int = 0) -> Delay[int]:
-    # Probe ``i`` of a delayed body, whose own steps pass through first.
-    return bind(
-        lambda v: now(i) if v == 0 else later(lambda: _min_bind(body, vs, i + 1)),
-        body(vs + (i,)),
-    )
+    def nestable(self, form: tuple) -> tuple:
+        """``form``, or, if its loops leave no room for one more, a call of it
+        as a function whose parameters are the placeholders it reads.  Its
+        value is the call itself: ``R`` and ``M`` read a body's value once."""
+        chunks, atom, loops, steps = form
+        if loops < _MAX_LOOPS:
+            return form
+        text = "\n".join([*chunks, f"return {atom}"])
+        params = {j: self.fresh() for j in dict.fromkeys(_PLACEHOLDER.findall(text))}
+        self.splits.append(self.define([*params.values()], _PLACEHOLDER.sub(lambda m: params[m[1]], text)))
+        call = f"{self.splits[-1]}({', '.join(f'{{{j}}}' for j in params)})"
+        return [], f"(yield from {call})" if steps else call, 0, steps
 
 
 # The names the generated source uses besides its own.
-_GLOBALS = {"Now": Now, "Again": Again, "partial": partial, "_search": _search,
-            "_comp_from": _comp_from, "_primrec_bind": _primrec_bind, "_min_bind": _min_bind}
+_GLOBALS = {"Now": Now, "Again": Again}
 
 
 class _Budget:

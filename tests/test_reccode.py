@@ -1,13 +1,14 @@
 """Codes for partial recursive functions: arity, evaluation, parsing."""
 
 import gc
+import sys
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from copartial import Converged, Exhausted, delay_by, never, now, run_for
+from copartial import Converged, Exhausted, delay_by, never, now, race, run_for, strict_pair
 from copartial.reccode import (
     CORPUS,
     MAX_NESTING,
@@ -27,6 +28,16 @@ from copartial.reccode import (
 )
 
 FUEL = 10_000
+
+
+def _loops_over_a_huge_arity(n, wraps):
+    """``R(P 1 n; P 1 n+2)``, wrapped ``wraps`` times as ``R(P 1 a-2; code)``
+    where ``a`` is the arity of the code so far: its loops nest
+    ``wraps + 1`` deep, and its arity is ``n + 1 - wraps``."""
+    code = PrimRec(Proj(1, n), Proj(1, n + 2))
+    for a in range(n + 1, n + 1 - wraps, -1):
+        code = PrimRec(Proj(1, a - 2), code)
+    return code
 
 
 class TestArity:
@@ -113,12 +124,16 @@ class TestEvaluate:
         [
             (parse_code("M(P 1 1000000)"), ValueError),
             (Comp(Min(Proj(1, 10**6)), (Zero(),)), IllFormed),
+            # 387 characters printed; its loops nest past the block limit.
+            (_loops_over_a_huge_arity(10**6, 24), ValueError),
         ],
-        ids=["mismatched", "ill-formed"],
+        ids=["mismatched", "ill-formed", "split-body"],
     )
     def test_huge_arity_is_rejected_before_any_source(self, code, error):
         # An ``M`` body's source names each of its arguments, so emitting
         # the search of a million-argument body first would cost ~100 MB.
+        # A loop body split off as its own function takes as parameters
+        # only the arguments it reads, not the million of its code.
         tracemalloc.start()
         try:
             with pytest.raises(error):
@@ -228,7 +243,7 @@ class TestArgumentsForcedOnce:
 
 
 class TestDelayedPaths:
-    """One code for each bind path of a code with a ``Min``: ``R``, ``C`` and ``M`` over a delayed body."""
+    """One code for each place a ``Min`` steps inside a code: an ``R``'s step, a ``C``'s inner code and an ``M``'s body."""
 
     def test_primrec_with_a_delayed_step(self):
         code = PrimRec(Proj(1, 1), Comp(CORPUS["ident_by_min"], (Proj(3, 3),)))
@@ -304,6 +319,88 @@ class TestDeepStepFreeCodes:
                 want = _nested_value(25, x, y)
                 assert oracle_eval(code, [x, y], 1_000_000) == want
                 assert run_for(evaluate(code, [now(x), now(y)]), FUEL) == Converged(want, 0)
+
+
+class TestDeepCodesWithSteps:
+    """Codes with a ``Min`` built directly, deeper than the host stack or
+    than CPython nests the blocks of one function."""
+
+    def test_2000_deep_tower(self):
+        code = _succ_tower(CORPUS["ident_by_min"], 2000)
+        assert run_for(evaluate(code, [now(3)]), FUEL) == Converged(2003, 3)
+
+    def test_search_under_loops_nested_past_the_block_limit(self):
+        # h(0)(x, y) = x + x, in x steps; h(d)(x, y) runs h(d - 1)(acc, 1)
+        # y times.  At 25 levels the loop body with the search in it is a
+        # generator of its own, which the code runs with ``yield from``.
+        one = Comp(Succ(), (Comp(Zero(), (Proj(1, 3),)),))
+        code = Comp(CORPUS["plus"], (Proj(1, 2), Comp(CORPUS["ident_by_min"], (Proj(1, 2),))))
+        for _ in range(25):
+            code = PrimRec(Proj(1, 1), Comp(code, (Proj(3, 3), one)))
+        for xs, want in (((3, 1), Converged(6, 3)), ((4, 2), Converged(16, 12))):
+            assert oracle_eval(code, xs, 1_000_000) == want.value
+            assert run_for(evaluate(code, [now(x) for x in xs]), FUEL) == want
+
+
+class TestRunsOfACodeWithSteps:
+    """A code with steps is a generator run as one memoised ``Later`` per
+    ``yield``, so its runs are values: read again, shared or resumed, they
+    give the same answer."""
+
+    @staticmethod
+    def run():
+        code = Comp(CORPUS["plus"], (CORPUS["ident_by_min"], Proj(1, 1)))
+        return evaluate(code, [now(40)])
+
+    def test_a_cut_run_resumes_alike_twice(self):
+        first = run_for(self.run(), 7)
+        assert isinstance(first, Exhausted)
+        assert run_for(first.rest, FUEL) == Converged(80, 33)
+        assert run_for(first.rest, FUEL) == Converged(80, 33)
+
+    def test_a_run_read_twice(self):
+        d = self.run()
+        assert run_for(d, FUEL) == Converged(80, 40)
+        assert run_for(d, FUEL) == Converged(80, 40)
+
+    def test_a_run_shared_by_a_pair_and_a_race(self):
+        d = self.run()
+        assert run_for(strict_pair(d, d), FUEL) == Converged((80, 80), 80)
+        d = self.run()
+        assert run_for(race(d, d), FUEL) == Converged(80, 40)
+
+    def test_a_run_cut_by_an_exception_raises_when_forced_again(self):
+        # The generator closes on the exception; a second force must not
+        # read its end as a value.
+        class Interrupt(Exception):
+            pass
+
+        def interrupt(frame, event, arg):
+            if frame.f_code.co_filename == "<reccode>":
+                raise Interrupt
+            return None
+
+        d = self.run()
+        outer = sys.gettrace()
+        sys.settrace(interrupt)
+        try:
+            with pytest.raises(Interrupt):
+                run_for(d, FUEL)
+        finally:
+            sys.settrace(outer)
+        with pytest.raises(RuntimeError, match="cannot resume"):
+            run_for(d, FUEL)
+
+    def test_a_dropped_cut_run_leaves_no_cyclic_garbage(self):
+        gc.collect()
+        gc.disable()
+        try:
+            cut = run_for(self.run(), 7)
+            assert isinstance(cut, Exhausted)
+            del cut
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestResumedSearch:
