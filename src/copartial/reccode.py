@@ -12,8 +12,11 @@ delay monad's shape written directly: each ``yield`` is one step and its
 step-free body is an ``unfold`` whose step is a generated probe.  The
 source holds only integers that the arity check validated and generated
 names.  ``arity``, ``print_code`` and the compiler are one walk on an
-explicit stack, so they take a code of any depth.  ``oracle_eval`` is an
-independent budgeted big-step evaluator over plain integers, to check it.
+explicit stack, so they take a code of any depth.  ``parse_code`` reads a
+text in one loop, also on an explicit stack, and checks each node's
+arities as it closes the node.  ``oracle_eval`` is an independent budgeted
+big-step evaluator over plain integers, to check it; it recurses, which is
+why ``parse_code`` bounds the nesting of a text.
 
 Concrete syntax (whitespace-insensitive)::
 
@@ -27,7 +30,7 @@ import sys
 from dataclasses import dataclass
 from functools import partial
 from itertools import count
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 from .delay import Again, Delay, Later, Now, _check_fuel, bind, strict_tuple, unfold
 
@@ -108,74 +111,78 @@ def _walk(code: RecCode, combine: Optional[Callable] = None) -> tuple:
     ``n`` is the node's arity and ``results`` its parts' ``r``.  One walk on
     an explicit stack, so a code of any depth fits the host stack."""
     stack = []
-    node, path, parts, arities, results = code, "top", _parts(code, "top"), [], []
+    node, parts, arities, results = code, _parts(code, stack), [], []
     while True:
         if len(arities) < len(parts):
-            stack.append((node, path, parts, arities, results))
-            node, path = parts[len(arities)]
-            parts, arities, results = _parts(node, path), [], []
+            stack.append((node, parts, arities, results))
+            node = parts[len(arities)]
+            parts, arities, results = _parts(node, stack), [], []
             continue
-        n = _check(node, path, arities)
+        n = _check(node, arities, stack)
         result = combine and combine(node, n, results)
         if not stack:
             return n, result
-        node, path, parts, arities, results = stack.pop()
+        node, parts, arities, results = stack.pop()
         arities.append(n)
         results.append(result)
 
 
-def _parts(node: RecCode, path) -> list:
-    """The parts of ``node`` in walking order, each with its path ``(path, label)``."""
+def _parts(node: RecCode, stack: list) -> tuple:
+    """The parts of ``node`` in walking order; ``stack`` holds its open ancestors."""
     if isinstance(node, (Proj, Zero, Succ)):
-        return []
+        return ()
     if isinstance(node, Comp):
         if not isinstance(node.gs, tuple):
-            raise _ill(path, f"inner codes {node.gs!r} are not a tuple")
-        return [(node.f, (path, ".f")), *[(g, (path, j)) for j, g in enumerate(node.gs, 1)]]
+            raise _ill(stack, f"inner codes {node.gs!r} are not a tuple")
+        return (node.f, *node.gs)
     if isinstance(node, PrimRec):
-        return [(node.f, (path, ".f")), (node.g, (path, ".g"))]
+        return (node.f, node.g)
     if isinstance(node, Min):
-        return [(node.f, (path, ".f"))]
-    raise _ill(path, f"unknown code node {node!r}")
+        return (node.f,)
+    raise _ill(stack, f"unknown code node {node!r}")
 
 
-def _ill(path, reason: str) -> IllFormed:
-    # A path is "top" or ``(parent, label)``; label ``j`` is a ``C``'s j-th inner code.
-    labels = []
-    while type(path) is tuple:
-        path, label = path
-        labels.append(label if type(label) is str else f".g{label}")
-    return IllFormed(path + "".join(reversed(labels)), reason)
+def _ill(stack: list, reason: str) -> IllFormed:
+    """``IllFormed`` at the node whose open ancestors are ``stack``, outermost
+    first.  A frame is a node (or, while parsing, its class), its parts, and
+    the arities of the parts done so far, so its part in progress is the
+    length of that list: ``.f``, a ``C``'s ``.g1``, ``.g2``, …, or an ``R``'s ``.g``."""
+    path = "top"
+    for head, _, arities, *_ in stack:
+        k = len(arities)
+        path += ".f" if k == 0 else f".g{k}" if head is Comp or isinstance(head, Comp) else ".g"
+    return IllFormed(path, reason)
 
 
-def _check(node: RecCode, path, arities: list[int]) -> int:
-    """The arity of ``node``, given its parts' arities in walking order."""
+def _check(node: RecCode, arities: Sequence[int], stack: list) -> int:
+    """The arity of ``node``, given its parts' arities in walking order and
+    its open ancestors ``stack``."""
     if isinstance(node, Proj):
         # Plain ints only, not ``bool``: the printed code must parse back.
         if type(node.i) is not int or type(node.n) is not int:
-            raise _ill(path, f"projection indices {node.i!r}, {node.n!r} are not both int")
+            raise _ill(stack, f"projection indices {node.i!r}, {node.n!r} are not both int")
         if not 1 <= node.i <= node.n:
-            raise _ill(path, f"projection index {node.i} not in 1..{node.n}")
+            raise _ill(stack, f"projection index {node.i} not in 1..{node.n}")
         return node.n
     if isinstance(node, (Zero, Succ)):
         return 1
     if isinstance(node, Comp):
         af, *ags = arities
         if not ags:
-            raise _ill(path, "composition needs at least one inner code")
+            raise _ill(stack, "composition needs at least one inner code")
         if af != len(ags):
-            raise _ill(path, f"outer arity {af} != {len(ags)} inner codes")
+            raise _ill(stack, f"outer arity {af} != {len(ags)} inner codes")
         if ags.count(ags[0]) != af:
-            raise _ill(path, f"inner codes disagree on arity: {ags}")
+            raise _ill(stack, f"inner codes disagree on arity: {ags}")
         return ags[0]
     if isinstance(node, PrimRec):
         af, ag = arities
         if ag != af + 2:
-            raise _ill(path, f"recursion step arity {ag} != base arity {af} + 2")
+            raise _ill(stack, f"recursion step arity {ag} != base arity {af} + 2")
         return af + 1
     (af,) = arities
     if af < 1:
-        raise _ill(path, "minimization needs a body of arity >= 1")
+        raise _ill(stack, "minimization needs a body of arity >= 1")
     return af - 1
 
 
@@ -297,9 +304,12 @@ class _Emitter:
             return [f"{x} = 0" if isinstance(node, Zero) else f"{x} = {{0}} + 1"], x, 0, False
         if isinstance(node, Comp):
             (outer, atom, loops, steps), *gs = forms
-            chunks, ys = [], []
+            # Each part is used once, so the first inner part's chunks take
+            # the others': a tower of ``C`` is linear in its depth.
+            chunks, ys = gs[0][0], []
             for more, y, deeper, stepping in gs:
-                chunks += more
+                if more is not chunks:
+                    chunks += more
                 ys.append(y)
                 loops, steps = max(loops, deeper), steps or stepping
             if outer:
@@ -402,102 +412,86 @@ def _oracle(code: RecCode, xs: Tuple[int, ...], budget: _Budget) -> int:
 _TOKEN = re.compile(r"\s*(?:([ZSPCRM();,]|\d+)|(\S))")
 
 
-# Deepest parenthesis nesting ``parse_code`` accepts.  The parser and the
-# oracle recurse per level; at this bound they fit the stack.  The printer,
-# ``arity`` and ``evaluate`` walk a code on an explicit stack, so a code
-# built directly may nest deeper.
+# Deepest parenthesis nesting ``parse_code`` accepts.  The parser, the
+# printer, ``arity`` and ``evaluate`` keep explicit stacks, so a code built
+# directly may nest deeper.  The bound is kept for ``oracle_eval``, which
+# recurses once per level and, at this depth, fits the host stack.
 MAX_NESTING = 200
 
+# The codes whose parts follow in parentheses.
+_OPENERS = {"C": Comp, "R": PrimRec, "M": Min}
 
-def _tokenize(text: str) -> list[tuple[Optional[str], int]]:
-    # The last token is ``None`` at the end of the text.
-    tokens = []
-    depth = 0
+
+def _tokenize(text: str) -> Iterator[tuple[Optional[str], int]]:
+    # Each token with its position, then ``None`` at the end of the text.
     for m in _TOKEN.finditer(text):
-        tok = m[1]
-        if tok is None:
+        if m[1] is None:
             raise ParseError(m.start(2), f"unexpected character {m[2]!r}")
-        if tok == "(":
-            depth += 1
-            if depth > MAX_NESTING:
-                raise ParseError(m.start(1), f"parentheses nest deeper than {MAX_NESTING}")
-        elif tok == ")":
-            depth -= 1
-        tokens.append((tok, m.start(1)))
-    tokens.append((None, len(text)))
-    return tokens
+        yield m[1], m.start(1)
+    yield None, len(text)
 
 
-class _Parser:
-    def __init__(self, tokens: list[tuple[Optional[str], int]]):
-        self.tokens = tokens
-        self.k = 0
-
-    def peek(self) -> Optional[str]:
-        return self.tokens[self.k][0]
-
-    def pos(self) -> int:
-        return self.tokens[self.k][1]
-
-    def take(self, expected: str) -> None:
-        if self.peek() != expected:
-            raise ParseError(self.pos(), f"expected {expected!r}, found {self.peek()!r}")
-        self.k += 1
-
-    def number(self) -> int:
-        tok = self.peek()
-        if tok is None or not tok.isdigit():
-            raise ParseError(self.pos(), f"expected a number, found {tok!r}")
-        self.k += 1
-        return int(tok)
-
-    def code(self) -> RecCode:
-        tok = self.peek()
-        if tok == "Z":
-            self.k += 1
-            return Zero()
-        if tok == "S":
-            self.k += 1
-            return Succ()
-        if tok == "P":
-            self.k += 1
-            return Proj(self.number(), self.number())
-        if tok == "C":
-            self.k += 1
-            self.take("(")
-            f = self.code()
-            self.take(";")
-            gs = [self.code()]
-            while self.peek() == ",":
-                self.k += 1
-                gs.append(self.code())
-            self.take(")")
-            return Comp(f, tuple(gs))
-        if tok == "R":
-            self.k += 1
-            self.take("(")
-            f = self.code()
-            self.take(";")
-            g = self.code()
-            self.take(")")
-            return PrimRec(f, g)
-        if tok == "M":
-            self.k += 1
-            self.take("(")
-            f = self.code()
-            self.take(")")
-            return Min(f)
-        raise ParseError(self.pos(), f"expected a code, found {tok!r}")
+def _number(tokens: Iterator[tuple[Optional[str], int]]) -> int:
+    tok, pos = next(tokens)
+    if tok is None or not tok.isdigit():
+        raise ParseError(pos, f"expected a number, found {tok!r}")
+    return int(tok)
 
 
 def parse_code(text: str) -> RecCode:
-    """Parse the concrete syntax (at most ``MAX_NESTING`` deep); arity-check it."""
-    parser = _Parser(_tokenize(text))
-    code = parser.code()
-    if parser.peek() is not None:
-        raise ParseError(parser.pos(), f"trailing input {parser.peek()!r}")
-    arity(code)
-    return code
+    """Parse the concrete syntax, at most ``MAX_NESTING`` deep, checking
+    each node's arities as it closes.
+
+    One loop over the tokens, on an explicit stack of the open ``C``,
+    ``R`` and ``M`` nodes.  A ``)`` pops the innermost, builds its node
+    and checks it; the node then becomes the next part of the one below.
+    The first error in reading order is raised: ``ParseError`` with its
+    position, or ``IllFormed`` with the path of the node it rejects.
+    """
+    tokens = _tokenize(text)
+    # Each open node is its class, the codes of its parts so far and their arities.
+    stack: list[tuple[type, list, list[int]]] = []
+    # The code just read, until the next token hands it to the node below.
+    node = None
+    # The end token ``None`` returns or raises, so the loop never runs out.
+    for tok, pos in tokens:
+        if node is None:
+            if tok in _OPENERS:
+                cls = _OPENERS[tok]
+                tok, pos = next(tokens)
+                if tok != "(":
+                    raise ParseError(pos, f"expected '(', found {tok!r}")
+                if len(stack) == MAX_NESTING:
+                    raise ParseError(pos, f"parentheses nest deeper than {MAX_NESTING}")
+                stack.append((cls, [], []))
+                continue
+            if tok == "Z":
+                node = Zero()
+            elif tok == "S":
+                node = Succ()
+            elif tok == "P":
+                node = Proj(_number(tokens), _number(tokens))
+            else:
+                raise ParseError(pos, f"expected a code, found {tok!r}")
+            n = _check(node, (), stack)
+            continue
+        if not stack:
+            if tok is not None:
+                raise ParseError(pos, f"trailing input {tok!r}")
+            return node
+        cls, codes, arities = stack[-1]
+        codes.append(node)
+        arities.append(n)
+        node = None
+        if tok == "," and cls is Comp and len(codes) > 1:
+            continue
+        expected = ";" if len(codes) == 1 and cls is not Min else ")"
+        if tok != expected:
+            raise ParseError(pos, f"expected {expected!r}, found {tok!r}")
+        if tok == ")":
+            stack.pop()
+            node = Comp(codes[0], tuple(codes[1:])) if cls is Comp else cls(*codes)
+            n = _check(node, arities, stack)
 
 
 def print_code(code: RecCode) -> str:

@@ -214,6 +214,53 @@ class TestConcreteSyntax:
             parse_code("C(S P 1 1)")
 
 
+# Texts with one error each, and the exact error each raises.
+DEEP = "C(S; " * (MAX_NESTING + 1) + "Z" + ")" * (MAX_NESTING + 1)
+GOLDEN_ERRORS = [
+    ("C(S; Q)", ParseError, "at 5: unexpected character 'Q'"),
+    ("C(S; Z) #", ParseError, "at 8: unexpected character '#'"),
+    ("C S; Z)", ParseError, "at 2: expected '(', found 'S'"),
+    ("C(S P 1 1)", ParseError, "at 4: expected ';', found 'P'"),
+    ("C(P 1 2; Z Z)", ParseError, "at 11: expected ')', found 'Z'"),
+    ("M(P 1 2", ParseError, "at 7: expected ')', found None"),
+    ("R(Z; P 1 3, P 1 3)", ParseError, "at 10: expected ')', found ','"),
+    ("C(S;)", ParseError, "at 4: expected a code, found ')'"),
+    ("", ParseError, "at 0: expected a code, found None"),
+    ("P", ParseError, "at 1: expected a number, found None"),
+    ("P 1", ParseError, "at 3: expected a number, found None"),
+    ("P 1 Z", ParseError, "at 4: expected a number, found 'Z'"),
+    ("Z Z", ParseError, "at 2: trailing input 'Z'"),
+    ("C(S; Z))", ParseError, "at 7: trailing input ')'"),
+    (DEEP, ParseError, f"at {5 * MAX_NESTING + 1}: parentheses nest deeper than {MAX_NESTING}"),
+    ("P 0 2", IllFormed, "top: projection index 0 not in 1..2"),
+    ("P 3 2", IllFormed, "top: projection index 3 not in 1..2"),
+    ("R(P 1 1; P 4 3)", IllFormed, "top.g: projection index 4 not in 1..3"),
+    ("C(S; Z, Z)", IllFormed, "top: outer arity 1 != 2 inner codes"),
+    ("C(P 1 2; Z, P 1 2)", IllFormed, "top: inner codes disagree on arity: [1, 2]"),
+    ("R(Z; Z)", IllFormed, "top: recursion step arity 1 != base arity 1 + 2"),
+    ("M(M(S))", IllFormed, "top: minimization needs a body of arity >= 1"),
+    ("M(C(S; Z, Z))", IllFormed, "top.f: outer arity 1 != 2 inner codes"),
+    ("R(Z; C(S; Z, Z))", IllFormed, "top.g: outer arity 1 != 2 inner codes"),
+    ("C(P 1 2; Z, C(S; Z, Z))", IllFormed, "top.g2: outer arity 1 != 2 inner codes"),
+    ("C(S; R(Z; M(C(P 1 2; P 1 4, P 1 4, P 1 4))))", IllFormed, "top.g1.g.f: outer arity 2 != 3 inner codes"),
+    ("C(S; C(S; C(P 1 2; Z, P 0 1)))", IllFormed, "top.g1.g1.g2: projection index 0 not in 1..1"),
+]
+
+
+@pytest.mark.parametrize("text, error, message", GOLDEN_ERRORS, ids=[m for _, _, m in GOLDEN_ERRORS])
+def test_golden_parse_error(text, error, message):
+    with pytest.raises(error) as caught:
+        parse_code(text)
+    assert type(caught.value) is error
+    assert str(caught.value) == message
+
+
+def test_the_first_error_in_reading_order_is_raised():
+    # An ill-formed inner code closes before the missing ``)`` is reached.
+    with pytest.raises(IllFormed, match=r"^top\.f: outer arity 1 != 2 inner codes$"):
+        parse_code("M(C(S; Z, Z)")
+
+
 def _succ_tower(code, levels):
     for _ in range(levels):
         code = Comp(Succ(), (code,))
@@ -328,6 +375,9 @@ class TestDeepCodesWithSteps:
     def test_2000_deep_tower(self):
         code = _succ_tower(CORPUS["ident_by_min"], 2000)
         assert run_for(evaluate(code, [now(3)]), FUEL) == Converged(2003, 3)
+        # Emitting a ``C`` tower is linear in its depth.
+        code = _succ_tower(CORPUS["ident_by_min"], 20_000)
+        assert run_for(evaluate(code, [now(3)]), FUEL) == Converged(20_003, 3)
 
     def test_search_under_loops_nested_past_the_block_limit(self):
         # h(0)(x, y) = x + x, in x steps; h(d)(x, y) runs h(d - 1)(acc, 1)

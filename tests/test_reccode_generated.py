@@ -10,6 +10,9 @@ probes before they succeed.
 
 A second strategy draws arbitrary small trees, most of them ill-formed,
 to check that ``arity`` rejects them with ``IllFormed`` and nothing else.
+A third draws arbitrary texts, to check that ``parse_code`` either reads
+a code that prints back to itself or raises ``ParseError`` or
+``IllFormed``, and nothing else.
 """
 
 from functools import cache
@@ -23,6 +26,7 @@ from copartial.reccode import (
     Comp,
     IllFormed,
     Min,
+    ParseError,
     PrimRec,
     Proj,
     Succ,
@@ -141,3 +145,18 @@ def test_arity_accepts_only_printable_codes(tree):
         return
     assert type(n) is int
     assert parse_code(print_code(tree)) == tree
+
+
+# The syntax's characters, spaces, one stray character, and a few whole
+# tokens so that many texts parse.
+texts = st.lists(st.sampled_from([*"ZSPCRM();, 0123#", "P 1 1", "P 1 2", "P 2 2", "C(", "M("]), max_size=30).map("".join)
+
+
+@given(texts)
+@settings(max_examples=500, deadline=None)
+def test_parse_code_reads_or_rejects_any_text(text):
+    try:
+        code = parse_code(text)
+    except (ParseError, IllFormed):
+        return
+    assert parse_code(print_code(code)) == code
