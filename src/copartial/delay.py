@@ -5,15 +5,17 @@ step followed by another ``Delay``.  All combinators here are productive:
 peeling a single constructor always terminates, so a fuel-bounded runner
 can observe any ``Delay`` safely; binds nested to any depth re-associate
 as they step, so a peel costs amortised O(1) host work and stack, and a
-race round O(live racers), with no host nesting.  A bind node has the class
-of the step it runs, so tagged steps keep their tags.  ``delay_by(v, n)``
-is one node for its whole run of ``n`` steps, and an ``unfold`` is one
-node over its pure step function: ``rest()`` peels one step, and the peel
-loops cut a run, an unfold or a knot (a node that is its own tail, such as
-``never()``), bare or at the head of binds, in one go while charging one
-fuel per step.  One function, ``_skip``, runs every node's thunk.  The
-constructors ``now``/``later`` are the classes ``Now``/``Later``; an
-``unfold`` step finishes with ``Done``, which is ``Now``.
+race round O(live racers), with no host nesting.  A bind node has the
+class of the step it runs, so tagged steps keep their tags.
+``delay_by(v, n)`` is one node for its whole run of ``n`` steps, and an
+``unfold`` is one node over its step function: ``rest()`` peels one
+step, and the peel loops cut a run, an unfold or a knot (a node that is
+its own tail, such as ``never()``), bare or at the head of binds, in one
+go while charging one fuel per step.  One function, ``_skip``, runs every
+node's thunk and memoises each cut in the node it cut, so a thunk runs
+once per step however often its node is run.  The constructors
+``now``/``later`` are the classes ``Now``/``Later``; an ``unfold`` step
+finishes with ``Done``, which is ``Now``.
 """
 
 from __future__ import annotations
@@ -72,16 +74,17 @@ class Now(Delay[A]):
 
 
 class Later(Delay[A]):
-    """One computation step; ``rest()`` forces the next stage; the thunk must be pure.
+    """One computation step; ``rest()`` forces the next stage, once.
 
     The thunk is a closure, or one of the tagged tuples ``_Run``,
     ``_Unfold`` and ``_Bind``, and ``_skip`` is the one code that runs it.
     Two conditions keep a forced chain from holding more than its live
-    state.  The thunk is dropped once forced, so a forced node no longer
-    reaches what its step closure captured.  And a step closure must never
-    reach its own function (no nested function that calls itself): such a
-    function and its closure cell form a cycle that keeps a computation's
-    whole state alive until the cycle collector runs.
+    state.  The thunk is dropped once run (a cut of more than one step
+    leaves a run in its place), so a node no longer reaches what its step
+    closure captured.  And a step closure must never reach its own
+    function (no nested function that calls itself): such a function and
+    its closure cell form a cycle that keeps a computation's whole state
+    alive until the cycle collector runs.
     """
 
     __slots__ = ("_thunk", "_forced")
@@ -170,13 +173,14 @@ class _Run(tuple):
 
 
 def unfold(seed: S, step: Callable[[S], Union[Again[S], Done[B]]]) -> Delay[B]:
-    """Iterate a pure step function, one observable step per ``Again``.
+    """Iterate a step function, one observable step per ``Again``.
 
     ``step`` plays the role of a coalgebra: ``Done(b)``, which is ``Now(b)``, is
     the result; ``Again(s)`` emits a step and continues from ``s``.  The
     first ``step`` is taken now, and the node after it is one node whose
-    steps the peel loops take in one loop, unmemoised: so ``step`` must be
-    pure, as running the same node twice calls it again.
+    steps the peel loops take in one loop.  Each ``step`` is called once
+    per step, however often a node is run, so it may advance ``s`` in
+    place: ``reccode`` steps a generator this way.
     """
     r = step(seed)
     if isinstance(r, Done):
@@ -263,8 +267,11 @@ def _skip(x: Later, budget: int | float) -> tuple[Delay, int]:
     ``drop``, and a knot, such as ``never()``, is a run without end; each,
     bare or at the head of binds, is cut at once, and every step cut has
     ``x``'s class.  A closure thunk peels one step.  The one memo rule: a
-    peel of exactly one step is memoised in ``x``, whatever its thunk, so
-    a bind's continuations run once; a cut of more memoises nothing.
+    cut of one step is memoised as ``x``'s forced tail, and a cut of ``k``
+    > 1 as a run of ``k`` steps before the rest (a run is that already).
+    A bind's head is cut through ``_skip`` too, unless it is a run, which
+    is pure and O(1).  So a thunk runs once per step, however often its
+    node is run.
     """
     t = x._thunk
     if type(t) in _BULK:
@@ -278,13 +285,15 @@ def _skip(x: Later, budget: int | float) -> tuple[Delay, int]:
         while type(head._thunk) is _Bind:
             head, inner = head._thunk
             ks = (inner, ks)
-        t = head._thunk
-        rest, k = t.drop(budget) if type(t) in _BULK else _skip(head, budget)
+        h = head._thunk
+        rest, k = h.drop(budget) if type(h) is _Run else _skip(head, budget)
         rest = _resume(rest, ks)
     else:
         rest, k = t(), 1
     if k == 1:
         x._forced, x._thunk = rest, None
+    elif type(t) is not _Run:
+        x._thunk = _Run((type(x), k, rest))
     return rest, k
 
 

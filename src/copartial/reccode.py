@@ -6,17 +6,17 @@ naturals whose only steps are failed minimization probes.  ``evaluate``
 forces its delayed arguments once, left to right, and compiles the code
 once, to one generated Python function: straight-line code with a ``for``
 loop per recursion and, if the code steps, a ``while`` loop per
-minimization that yields once per failed probe.  A generator is the
-delay monad's shape written directly: each ``yield`` is one step and its
-``return`` the value.  A code that is exactly a minimization over a
-step-free body is an ``unfold`` whose step is a generated probe.  The
-source holds only integers that the arity check validated and generated
-names.  ``arity``, ``print_code`` and the compiler are one walk on an
-explicit stack, so they take a code of any depth.  ``parse_code`` reads a
-text in one loop, also on an explicit stack, and checks each node's
-arities as it closes the node.  ``oracle_eval`` is an independent budgeted
-big-step evaluator over plain integers, to check it; it recurses, which is
-why ``parse_code`` bounds the nesting of a text.
+minimization that yields once per failed probe.  A generator is the delay
+monad's shape written directly: each ``yield`` is one step and its
+``return`` the value, so a code with steps is an ``unfold`` whose step
+resumes its generator.  The source holds only integers that the arity
+check validated and generated names.  ``arity``, ``print_code`` and the
+compiler are one walk on an explicit stack, so they take a code of any
+depth.  ``parse_code`` reads a text in one loop, also on an explicit
+stack, and checks each node's arities as it closes the node.
+``oracle_eval`` is an independent budgeted big-step evaluator over plain
+integers, to check it; it recurses, which is why ``parse_code`` bounds the
+nesting of a text.
 
 Concrete syntax (whitespace-insensitive)::
 
@@ -28,11 +28,10 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import dataclass
-from functools import partial
 from itertools import count
 from typing import Callable, Iterator, Optional, Sequence, Tuple
 
-from .delay import Again, Delay, Later, Now, _check_fuel, bind, strict_tuple, unfold
+from .delay import Again, Delay, Now, _check_fuel, bind, strict_tuple, unfold
 
 __all__ = [
     "RecCode",
@@ -201,48 +200,38 @@ def evaluate(code: RecCode, args: Sequence[Delay[int]]) -> Delay[int]:
     validated and generated names.  A code without ``Min`` takes no step:
     it is one function of straight-line code with a ``for`` loop per
     ``R``.  A code with a ``Min`` is one generator of the same form with a
-    ``while`` loop per ``M`` that yields once per failed probe, and each
-    ``yield`` is one memoised ``Later``.  A code that is exactly an ``M``
-    over a step-free body is an ``unfold`` whose step is a generated probe,
-    so a run cuts its failed probes in one loop.
+    ``while`` loop per ``M`` that yields once per failed probe, run as an
+    ``unfold`` whose step is ``_next``, so a run cuts its failed probes in
+    one loop, and the unfold's memo makes each probe run once.
     """
     emitter = _Emitter()
     n, (chunks, atom, _, steps) = _walk(code, emitter.combine)
     xs = tuple(args)
     if len(xs) != n:
         raise ValueError(f"arity mismatch: code takes {n} arguments, got {len(xs)}")
-    search = isinstance(code, Min) and not emitter.body[3]
-    if search:
-        chunks, atom, _, _ = emitter.body
-        params = [emitter.fresh() for _ in range(n + 1)]
-        body = [*chunks, f"return Now({{{n}}}) if {atom} == 0 else Again({{{n}}} + 1)"]
-    else:
-        params = [emitter.fresh() for _ in range(n)]
-        body = [f"[{', '.join(params)}] = vs", *chunks, f"return {atom}" if steps else f"return Now({atom})"]
-    top = emitter.define(params if search else ["vs"], "\n".join(body).format(*params))
+    params = [emitter.fresh() for _ in range(n)]
+    body = [f"[{', '.join(params)}] = vs", *chunks, f"return {atom}" if steps else f"return Now({atom})"]
+    top = emitter.define(["vs"], "\n".join(body).format(*params))
     ns = dict(_GLOBALS)
     exec(compile("\n".join(emitter.lines), "<reccode>", "exec"), ns)
     run = ns[top]
     # A generated function left in the globals it runs in would be a cycle.
     for name in emitter.names:
         del ns[name]
-    if search:
-        return bind(lambda vs: unfold(0, partial(run, *vs)), strict_tuple(xs))
-    return bind((lambda vs: _steps(run(vs))) if steps else run, strict_tuple(xs))
+    return bind((lambda vs: unfold(run(vs), _next)) if steps else run, strict_tuple(xs))
 
 
-def _steps(gen) -> Delay[int]:
-    # Run a generated generator to its next ``yield``, one step, or to its value.
-    # The thunk advances ``gen``, so it runs once: ``_skip`` memoises every
-    # closure thunk's step.  An exception raised in ``gen`` (an interrupt,
-    # say) closes it, and the step it cut cannot be taken again.
-    if gen.gi_frame is None:
-        raise RuntimeError("this run was cut by an exception and cannot resume")
+def _next(gen) -> Again | Now:
+    # One step of a generated generator: to its next ``yield``, or to its
+    # ``return``, an int.  An exception raised in ``gen`` (an interrupt, say)
+    # closes it, and a stop without a value says the step cannot be taken.
     try:
         next(gen)
     except StopIteration as stop:
+        if stop.value is None:
+            raise RuntimeError("this run was cut by an exception and cannot resume") from None
         return Now(stop.value)
-    return Later(partial(_steps, gen))
+    return Again(gen)
 
 
 # CPython compiles at most 20 statically nested blocks in one function.
@@ -280,8 +269,6 @@ class _Emitter:
         # The names the source binds, and the split loop bodies among them.
         self.names: list[str] = []
         self.splits: list[str] = []
-        # The body of the last ``M`` combined: the whole code's, if it is an ``M``.
-        self.body = None
         self._count = count()
 
     def fresh(self) -> str:
@@ -316,8 +303,7 @@ class _Emitter:
                 chunks.append("\n".join(outer).format(*ys))
             return chunks, atom.format(*ys), loops, steps
         if isinstance(node, Min):
-            self.body = self.nestable(forms[0])
-            body, value, deeper, _ = self.body
+            body, value, deeper, _ = self.nestable(forms[0])
             # Probe ``i`` is the body's last argument.
             i = self.fresh()
             text = "\n".join([*body, f"if {value} == 0:", "    break", f"{i} += 1", "yield"])
@@ -349,7 +335,7 @@ class _Emitter:
 
 
 # The names the generated source uses besides its own.
-_GLOBALS = {"Now": Now, "Again": Again}
+_GLOBALS = {"Now": Now}
 
 
 class _Budget:
@@ -435,7 +421,11 @@ def _number(tokens: Iterator[tuple[Optional[str], int]]) -> int:
     tok, pos = next(tokens)
     if tok is None or not tok.isdigit():
         raise ParseError(pos, f"expected a number, found {tok!r}")
-    return int(tok)
+    try:
+        return int(tok)
+    except ValueError:
+        # ``int()`` refuses a digit run past the host's limit on its length.
+        raise ParseError(pos, f"a number of {len(tok)} digits is too long") from None
 
 
 def parse_code(text: str) -> RecCode:

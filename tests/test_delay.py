@@ -150,6 +150,14 @@ class TestUnfold:
         steps = whole.steps if isinstance(whole, Converged) else fuel + more
         assert len(calls) == steps + 1
 
+    def test_a_node_run_twice_takes_its_steps_once(self):
+        # The first cut is memoised, so the second run reads it back.
+        calls = []
+        u = unfold(10, lambda k: calls.append(k) or (Done(k) if k == 0 else Again(k - 1)))
+        first, second = run_for(u, 5), run_for(u, 5)
+        assert len(calls) == 6
+        assert isinstance(first, Exhausted) and second == first
+
 
 class TestMonad:
     def test_fmap_preserves_steps(self):
@@ -188,12 +196,14 @@ class TestMonad:
         assert r == Converged(rx.value * 3, rx.steps)
 
     @pytest.mark.parametrize(
-        "head", [lambda: delay_by(0, 1), lambda: later(lambda: now(0))], ids=["run", "later"]
+        "head, steps",
+        [(lambda: delay_by(0, 1), 1), (lambda: later(lambda: now(0)), 1), (lambda: delay_by(0, 3), 3)],
+        ids=["run", "later", "longer-run"],
     )
-    def test_a_bind_node_run_twice_runs_its_continuation_once(self, head):
+    def test_a_bind_node_run_twice_runs_its_continuation_once(self, head, steps):
         calls = []
         x = bind(lambda v: calls.append(v) or now(v), head())
-        assert run_for(x, 10) == run_for(x, 10) == Converged(0, 1)
+        assert run_for(x, 10) == run_for(x, 10) == Converged(0, steps)
         assert calls == [0]
 
 

@@ -229,6 +229,7 @@ GOLDEN_ERRORS = [
     ("P", ParseError, "at 1: expected a number, found None"),
     ("P 1", ParseError, "at 3: expected a number, found None"),
     ("P 1 Z", ParseError, "at 4: expected a number, found 'Z'"),
+    ("P 1 " + "9" * 5000, ParseError, "at 4: a number of 5000 digits is too long"),
     ("Z Z", ParseError, "at 2: trailing input 'Z'"),
     ("C(S; Z))", ParseError, "at 7: trailing input ')'"),
     (DEEP, ParseError, f"at {5 * MAX_NESTING + 1}: parentheses nest deeper than {MAX_NESTING}"),
@@ -393,9 +394,9 @@ class TestDeepCodesWithSteps:
 
 
 class TestRunsOfACodeWithSteps:
-    """A code with steps is a generator run as one memoised ``Later`` per
-    ``yield``, so its runs are values: read again, shared or resumed, they
-    give the same answer."""
+    """A code with steps is a generator run as an ``unfold``, whose every
+    cut is memoised, so its runs are values: read again, shared or resumed,
+    they give the same answer."""
 
     @staticmethod
     def run():

@@ -114,6 +114,21 @@ class TestLongRuns:
         assert head is not None
         assert retained < 2**20
 
+    def test_a_search_nested_in_a_code_with_steps_whose_head_is_kept_retains_no_chain(self):
+        # A code with steps is an unfold over its generator, so its failed
+        # probes are taken in one loop and the cut is memoised as one run.
+        code = Comp(Succ(), (CORPUS["always_diverge"],))
+        tracemalloc.start()
+        try:
+            head = evaluate(code, [now(0)])
+            before = tracemalloc.get_traced_memory()[0]
+            assert isinstance(run_for(head, 100_000), Exhausted)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert head is not None
+        assert retained < 2**20
+
     @pytest.mark.parametrize(
         "make, answers",
         [
