@@ -7,10 +7,17 @@
 The first form runs ``perfbench/run.py --workload all --seed 4242`` for
 the seconds per workload that ``BENCHMARK.json`` sets, and saves the last
 line of its output, one JSON object, with the commit it ran at, the
-Python version, the seed and the seconds added.  The second prints, for
-each end-to-end metric of the two files, the ratio NEW / OLD beside the
-metric's bound in ``BENCHMARK.json``, and exits 1 if any ratio is worse
-than its bound.
+Python version, the seed and the seconds added.  It then adds
+``<workload>.rss_mb_at_ops`` for each in-process workload: the peak RSS
+of a fresh process that runs the first ``RSS_OPS`` ops of the workload at
+that seed through ``perfbench/workloads.py``.  The run's own
+``peak_rss_mb`` includes the harness's per-op lists, which grow with the
+ops done, so a faster program reads as a bigger one there; at a fixed op
+count it does not.  The second form prints, for each end-to-end metric
+of the two files, the ratio NEW / OLD beside the metric's bound in
+``BENCHMARK.json`` (``peak_rss_mb``'s for ``rss_mb_at_ops``), and exits 1
+if any ratio is worse than its bound; a metric only one file has is
+printed with ``-`` for the other.
 """
 
 from __future__ import annotations
@@ -25,6 +32,26 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 SEED = 4242
+RSS_WORKLOADS = ("interp", "recursion", "semidecide")
+RSS_OPS = 2560
+# Runs ops ``[0, n)`` of a workload, wrapping around as the benchmark's
+# loop does, and prints the process's peak RSS in MB.
+_RSS_CHILD = """
+import resource, sys
+sys.path[:0] = [sys.argv[1] + "/perfbench", sys.argv[1] + "/src"]
+from tracer import load_package
+from workloads import execute, make_api, make_ops, mismatch
+workload, seed, n = sys.argv[2], int(sys.argv[3]), int(sys.argv[4])
+pkg = load_package()
+api = make_api(pkg, pkg, None)
+ops = make_ops(workload, seed)
+for i in range(n):
+    op = ops[i % len(ops)]
+    problem = mismatch(op, execute(api, op))
+    if problem:
+        sys.exit(problem)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+"""
 
 
 def save(path: str) -> int:
@@ -40,9 +67,24 @@ def save(path: str) -> int:
     result = json.loads(run.stdout.splitlines()[-1])
     commit = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True)
     result.update(commit=commit.stdout.strip() or None, python=platform.python_version(),
-                  seed=SEED, seconds=seconds)
+                  seed=SEED, seconds=seconds, rss_ops=RSS_OPS)
+    for workload in RSS_WORKLOADS:
+        result["metrics"][f"{workload}.rss_mb_at_ops"] = {
+            "value": rss_mb_at_ops(workload), "unit": "MB"}
     Path(path).write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
     return 0
+
+
+def rss_mb_at_ops(workload: str, ops: int = RSS_OPS) -> float:
+    """Peak RSS in MB of a fresh process that runs the first ``ops`` ops of
+    ``workload`` at ``SEED``; raises if one of them gets a wrong answer."""
+    run = subprocess.run(
+        [sys.executable, "-c", _RSS_CHILD, str(ROOT), workload, str(SEED), str(ops)],
+        cwd=ROOT, capture_output=True, text=True,
+    )
+    if run.returncode != 0:
+        raise RuntimeError(f"{workload} at {ops} ops: {run.stderr.strip()}")
+    return float(run.stdout)
 
 
 def compare(old_path: str, new_path: str) -> int:
@@ -50,9 +92,14 @@ def compare(old_path: str, new_path: str) -> int:
     old, new = (json.loads(Path(p).read_text())["metrics"] for p in (old_path, new_path))
     worse = 0
     print(f"{'metric':<28}{'old':>12}{'new':>12}{'ratio':>8}{'bound':>8}")
-    for key in sorted(old.keys() & new.keys()):
-        spec = bounds.get(key.rpartition(".")[2])
+    for key in sorted(old.keys() | new.keys()):
+        name = key.rpartition(".")[2]
+        spec = bounds.get("peak_rss_mb" if name == "rss_mb_at_ops" else name)
         if spec is None:
+            continue
+        if key not in old or key not in new:
+            print(f"{key:<28}" + "".join(
+                f"{side[key]['value']:>12.5g}" if key in side else f"{'-':>12}" for side in (old, new)))
             continue
         a, b = old[key]["value"], new[key]["value"]
         ratio = b / a if a else float("inf")

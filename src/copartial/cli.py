@@ -1,5 +1,8 @@
 """Command-line front end: evaluate codes under fuel, run demos, check laws.
 
+Each subcommand imports the modules it runs when it runs, so a process
+compiles and loads only what its command needs.
+
 Exit status: 0 for a converged evaluation (and for law suites with no
 failing law), 2 when fuel is exhausted, 1 for usage or parse errors.
 """
@@ -11,11 +14,6 @@ import sys
 from typing import Optional, Sequence
 
 from .delay import Converged, Delay, now, run_for
-from .fixpoint import factorial_operator, fix
-from .laws import DelayGen, check_kleisli_laws, check_strength_laws
-from .lazy import Ended, observe, sloth_f, sloth_g, sloth_strict_g
-from .nested import devil, mccarthy91_devil_spec, nest
-from .reccode import IllFormed, ParseError, evaluate, parse_code
 
 DEFAULT_FUEL = 100_000
 
@@ -63,6 +61,8 @@ def _run_and_report(d: Delay, fuel: int, trace: bool, out, prefix: str = "") -> 
 
 
 def _cmd_eval(opts, out, err) -> int:
+    from .reccode import IllFormed, ParseError, evaluate, parse_code
+
     try:
         code = parse_code(opts.code)
     except (ParseError, IllFormed) as exc:
@@ -84,12 +84,16 @@ def _cmd_eval(opts, out, err) -> int:
 
 
 def _demo_nest(fuel: int, out) -> int:
+    from .nested import nest
+
     for n in range(11):
         _run_and_report(nest(n), fuel, False, out, prefix=f"NEST n={n} ")
     return 0
 
 
 def _demo_devil91(fuel: int, out) -> int:
+    from .nested import devil, mccarthy91_devil_spec
+
     spec = mccarthy91_devil_spec()
     for n in (0, 1, 42, 99, 100, 101, 111, 200):
         _run_and_report(devil(spec, n), fuel, False, out, prefix=f"DEVIL91 n={n} ")
@@ -97,6 +101,8 @@ def _demo_devil91(fuel: int, out) -> int:
 
 
 def _demo_sloth(fuel: int, out) -> int:
+    from .lazy import observe, sloth_f, sloth_g, sloth_strict_g
+
     succs, ended = observe(sloth_g(14), fuel)
     print(f"SLOTH lazy-g14 succs={succs} ended={ended.value}", file=out)
     succs, ended = observe(sloth_f(13), fuel)
@@ -106,6 +112,8 @@ def _demo_sloth(fuel: int, out) -> int:
 
 
 def _demo_factorial_fix(fuel: int, out) -> int:
+    from .fixpoint import factorial_operator, fix
+
     fac = fix(factorial_operator())
     for n in range(9):
         _run_and_report(fac(n), fuel, False, out, prefix=f"FACTORIAL n={n} ")
@@ -121,6 +129,8 @@ DEMOS = {
 
 
 def _cmd_check_laws(opts, out) -> int:
+    from .laws import DelayGen, check_kleisli_laws, check_strength_laws
+
     gen = DelayGen(include_never=True)
     results = {}
     results.update(check_kleisli_laws(gen, opts.samples, opts.fuel))

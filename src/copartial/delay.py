@@ -15,13 +15,14 @@ go while charging one fuel per step.  One function, ``_skip``, runs every
 node's thunk and memoises each cut in the node it cut, so a thunk runs
 once per step however often its node is run.  The constructors
 ``now``/``later`` are the classes ``Now``/``Later``; an ``unfold`` step
-finishes with ``Done``, which is ``Now``.
+finishes with ``Done``, which is ``Now``.  A run's result, ``Converged``
+or ``Exhausted``, is a record: a slotted value class over ``_Record``,
+the one base of every record in the package.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from itertools import count
 from typing import Any, Callable, Generic, Sequence, TypeVar, Union
 
@@ -126,15 +127,57 @@ class Again(Generic[S]):
         return f"Again({self.state!r})"
 
 
-@dataclass(frozen=True)
-class Converged(Generic[A]):
-    value: A
-    steps: int
+class _Record:
+    """Base of the package's records: value classes whose fields are their
+    ``__slots__``, set once by ``__init__`` through ``_set``.
+
+    Records of one class are equal, and hash alike, when their field
+    tuples are; records of different classes are never equal.  ``repr``
+    is ``Cls(field=value, ...)``, and assigning or deleting a field raises
+    ``AttributeError``.
+    """
+
+    __slots__ = ()
+    _set = object.__setattr__
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
-@dataclass(frozen=True)
-class Exhausted(Generic[A]):
-    rest: Delay[A]
+class Converged(_Record, Generic[A]):
+    __slots__ = ("value", "steps")
+
+    def __init__(self, value: A, steps: int):
+        self._set("value", value)
+        self._set("steps", steps)
+
+
+class Exhausted(_Record, Generic[A]):
+    __slots__ = ("rest",)
+
+    def __init__(self, rest: Delay[A]):
+        self._set("rest", rest)
 
 
 RunResult = Union[Converged[A], Exhausted[A]]

@@ -9,10 +9,9 @@ documented caller contracts; they are not checkable at runtime.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Generic, TypeVar
 
-from .delay import Delay, bind, fmap, never, now, parallel_search
+from .delay import Delay, _Record, bind, fmap, never, now, parallel_search
 
 A = TypeVar("A")
 B = TypeVar("B")
@@ -33,16 +32,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Operator(Generic[A, B]):
+class Operator(_Record, Generic[A, B]):
     """An endo-map on partial functions with a human-readable name.
 
     Contract (unchecked): ``apply`` is pure and finitary, and its
     iterates never converge to conflicting values at the same argument.
     """
 
-    apply: Callable[[PartialFn], PartialFn]
-    name: str = "operator"
+    __slots__ = ("apply", "name")
+
+    def __init__(self, apply: Callable[[PartialFn], PartialFn], name: str = "operator"):
+        self._set("apply", apply)
+        self._set("name", name)
 
 
 def bottom() -> PartialFn:

@@ -9,10 +9,9 @@ reported with a counterexample.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .delay import Converged, Delay, bind, delay_by, fmap, never, now, run_for, strength
+from .delay import Converged, Delay, _Record, bind, delay_by, fmap, never, now, run_for, strength
 from .semantics import FAILS, HOLDS, Verdict, bisim, unknown
 
 __all__ = ["DelayGen", "LawResult", "check_kleisli_laws", "check_strength_laws"]
@@ -23,15 +22,17 @@ _VALUES = tuple(range(0, 50))
 _MAX_DELAY = 8
 
 
-@dataclass(frozen=True)
-class DelayGen:
+class DelayGen(_Record):
     """Sampling distribution for test inputs.
 
     Generates ``delay_by(a, k)`` with ``a`` drawn from ``_VALUES`` and
     ``k <= _MAX_DELAY``, plus the diverging element when enabled.
     """
 
-    include_never: bool = False
+    __slots__ = ("include_never",)
+
+    def __init__(self, include_never: bool = False):
+        self._set("include_never", include_never)
 
     def sample(self, rng: random.Random) -> Delay[int]:
         if self.include_never and rng.random() < 0.1:
@@ -56,14 +57,22 @@ class DelayGen:
         return lambda a: delay_by(base(a), pad)
 
 
-@dataclass
-class LawResult:
-    name: str
-    verdict: Verdict = HOLDS
-    holds: int = 0
-    unknown: int = 0
-    fails: int = 0
-    counterexample: Optional[str] = None
+class LawResult(_Record):
+    """One law's tally over the samples; mutable, so unhashable."""
+
+    __slots__ = ("name", "verdict", "holds", "unknown", "fails", "counterexample")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, name: str, verdict: Verdict = HOLDS, holds: int = 0,
+                 unknown: int = 0, fails: int = 0, counterexample: Optional[str] = None):
+        self.name = name
+        self.verdict = verdict
+        self.holds = holds
+        self.unknown = unknown
+        self.fails = fails
+        self.counterexample = counterexample
 
 
 BindImpl = Callable[[Callable[[int], Delay[int]], Delay[int]], Delay[int]]

@@ -11,28 +11,30 @@ counts those; both are ``unfold``s.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Generic, TypeVar
 
-from .delay import Again, Delay, bind, fmap, later, now, unfold
+from .delay import Again, Delay, _Record, bind, fmap, later, now, unfold
 
 A = TypeVar("A")
 
 __all__ = ["DevilSpec", "nest", "cnest", "devil", "cps_fix", "mccarthy91_devil_spec"]
 
 
-@dataclass(frozen=True)
-class DevilSpec(Generic[A]):
+class DevilSpec(_Record, Generic[A]):
     """Data for ``d(a) = g(a) if in_base(a) else h(d(d(i(a))))``.
 
     ``in_base`` must be total and decidable; ``g`` is only ever applied
     to arguments satisfying ``in_base``.
     """
 
-    in_base: Callable[[A], bool]
-    i: Callable[[A], A]
-    g: Callable[[A], A]
-    h: Callable[[A], A]
+    __slots__ = ("in_base", "i", "g", "h")
+
+    def __init__(self, in_base: Callable[[A], bool], i: Callable[[A], A],
+                 g: Callable[[A], A], h: Callable[[A], A]):
+        self._set("in_base", in_base)
+        self._set("i", i)
+        self._set("g", g)
+        self._set("h", h)
 
 
 def cnest(n: int, m: int) -> Delay[int]:

@@ -1,6 +1,7 @@
 """Kleene partial recursive function codes and their delay interpreter.
 
-Codes are built from zero, successor, projections, composition, primitive
+Codes are records (slotted value classes, such as ``Proj(i=1, n=2)``)
+built from zero, successor, projections, composition, primitive
 recursion and minimization, and denote maps from value tuples to delayed
 naturals whose only steps are failed minimization probes.  ``evaluate``
 forces its delayed arguments once, left to right, and compiles the code
@@ -27,11 +28,10 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from itertools import count
 from typing import Callable, Iterator, Optional, Sequence, Tuple
 
-from .delay import Again, Delay, Now, _check_fuel, bind, strict_tuple, unfold
+from .delay import Again, Delay, Now, _check_fuel, _Record, bind, strict_tuple, unfold
 
 __all__ = [
     "RecCode",
@@ -68,37 +68,47 @@ class ParseError(Exception):
         super().__init__(f"at {position}: {message}")
 
 
-@dataclass(frozen=True)
-class Zero:
+class Zero(_Record):
     """The unary constant-zero function."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class Succ:
+
+class Succ(_Record):
     """The unary successor function."""
 
-
-@dataclass(frozen=True)
-class Proj:
-    i: int
-    n: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Comp:
-    f: "RecCode"
-    gs: Tuple["RecCode", ...]
+class Proj(_Record):
+    __slots__ = ("i", "n")
+
+    def __init__(self, i: int, n: int):
+        self._set("i", i)
+        self._set("n", n)
 
 
-@dataclass(frozen=True)
-class PrimRec:
-    f: "RecCode"
-    g: "RecCode"
+class Comp(_Record):
+    __slots__ = ("f", "gs")
+
+    def __init__(self, f: RecCode, gs: Tuple[RecCode, ...]):
+        self._set("f", f)
+        self._set("gs", gs)
 
 
-@dataclass(frozen=True)
-class Min:
-    f: "RecCode"
+class PrimRec(_Record):
+    __slots__ = ("f", "g")
+
+    def __init__(self, f: RecCode, g: RecCode):
+        self._set("f", f)
+        self._set("g", g)
+
+
+class Min(_Record):
+    __slots__ = ("f",)
+
+    def __init__(self, f: RecCode):
+        self._set("f", f)
 
 
 RecCode = Zero | Succ | Proj | Comp | PrimRec | Min

@@ -5,14 +5,15 @@ convergence order are undecidable in general, so every checker returns a
 three-valued ``Verdict``: ``Holds`` and ``Fails`` are definitive and
 monotone in fuel, ``Unknown`` carries no claim beyond the fuel spent.
 The convergence order ``leq`` is ``bisim``, whose docstring says why.
+A checker keeps no reference to a computation once its run starts, so
+the steps a run has passed are freed as it goes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional, TypeVar, Union
 
-from .delay import Again, Converged, Delay, Done, run_for
+from .delay import Again, Converged, Delay, Done, _Record, run_for
 
 A = TypeVar("A")
 S = TypeVar("S")
@@ -32,16 +33,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(_Record):
     """Outcome of a fuel-bounded semi-decision.
 
     ``kind`` is one of ``"holds"``, ``"fails"``, ``"unknown"``;
     ``fuel_spent`` is set only for unknown verdicts.
     """
 
-    kind: str
-    fuel_spent: Optional[int] = None
+    __slots__ = ("kind", "fuel_spent")
+
+    def __init__(self, kind: str, fuel_spent: Optional[int] = None):
+        self._set("kind", kind)
+        self._set("fuel_spent", fuel_spent)
 
     def is_holds(self) -> bool:
         return self.kind == "holds"
@@ -66,12 +69,14 @@ def unknown(fuel_spent: int) -> Verdict:
     return Verdict("unknown", fuel_spent)
 
 
-def _judge(fuel: int, judge: Callable[..., Verdict], *sides: Delay) -> Verdict:
+def _judge(fuel: int, judge: Callable[..., Verdict], sides: list[Delay]) -> Verdict:
     # Run each side under the full fuel in turn; judge their values, or
     # give up with ``Unknown`` at the first side that does not converge.
+    # Each side leaves ``sides`` as its run starts, and the callers hold
+    # none, so the steps a run has passed are freed as it goes.
     values = []
-    for x in sides:
-        r = run_for(x, fuel)
+    while sides:
+        r = run_for(sides.pop(0), fuel)
         if not isinstance(r, Converged):
             return unknown(fuel)
         values.append(r.value)
@@ -84,7 +89,9 @@ def _equal(u, v) -> Verdict:
 
 def converges_to(x: Delay[A], a: A, fuel: int) -> Verdict:
     """Does ``x`` reach exactly the value ``a`` within ``fuel`` steps?"""
-    return _judge(fuel, lambda v: _equal(v, a), x)
+    sides = [x]
+    del x
+    return _judge(fuel, lambda v: _equal(v, a), sides)
 
 
 def diverges_bounded(x: Delay[A], fuel: int) -> Verdict:
@@ -93,7 +100,9 @@ def diverges_bounded(x: Delay[A], fuel: int) -> Verdict:
     Divergence cannot be confirmed by any finite observation, so the
     only definitive answer available here is ``Fails``.
     """
-    return _judge(fuel, lambda _v: FAILS, x)
+    sides = [x]
+    del x
+    return _judge(fuel, lambda _v: FAILS, sides)
 
 
 def diverges_finite_state(
@@ -124,7 +133,9 @@ def diverges_finite_state(
 
 def is_finite(x: Delay[A], fuel: int) -> Verdict:
     """Does ``x`` have a value at all?  Never ``Fails``."""
-    return _judge(fuel, lambda _v: HOLDS, x)
+    sides = [x]
+    del x
+    return _judge(fuel, lambda _v: HOLDS, sides)
 
 
 def bisim(x: Delay[A], y: Delay[A], fuel: int) -> Verdict:
@@ -138,7 +149,9 @@ def bisim(x: Delay[A], y: Delay[A], fuel: int) -> Verdict:
     on a deterministic ``Delay`` the two differ only where ``x`` diverges,
     which no finite fuel observes, so their semi-decisions coincide.
     """
-    return _judge(fuel, _equal, x, y)
+    sides = [x, y]
+    del x, y
+    return _judge(fuel, _equal, sides)
 
 
 leq = bisim

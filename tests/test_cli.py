@@ -1,11 +1,17 @@
 """CLI behaviour: golden lines, exit codes, determinism."""
 
 import io
+import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from copartial.cli import main
 from copartial.reccode import MAX_NESTING
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(*argv):
@@ -215,3 +221,23 @@ class TestRejectedInput:
         assert code == 1
         assert out == ""
         assert err.startswith("error:")
+
+
+def test_eval_imports_only_what_it_runs():
+    # ``-S`` keeps ``site`` from importing modules that would hide a regression.
+    script = (
+        "import json, sys\n"
+        f"sys.path.insert(0, {str(SRC)!r})\n"
+        "from copartial.cli import main\n"
+        "code = main(['--machine', 'eval', 'Z', '0'])\n"
+        "print(json.dumps([code, sorted(sys.modules)]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", script],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.stderr == ""
+    out, result = proc.stdout.splitlines()
+    code, modules = json.loads(result)
+    assert (out, code) == ("CONVERGED 0 steps=0", 0)
+    unwanted = {"dataclasses", "inspect", "copartial.laws", "copartial.lazy", "copartial.nested"}
+    assert unwanted.isdisjoint(modules)
+    assert "copartial.reccode" in modules

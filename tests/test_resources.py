@@ -11,8 +11,8 @@ import pytest
 
 import copartial
 from copartial import (
-    Again, Converged, Exhausted, bind, delay_by, fmap, later, now, parallel_search, run_for,
-    unfold,
+    Again, Converged, Exhausted, bind, bisim, converges_to, delay_by, diverges_bounded, fmap,
+    is_finite, later, leq, now, parallel_search, run_for, unfold,
 )
 from copartial.fixpoint import factorial_operator, fix
 from copartial.lazy import (
@@ -33,6 +33,11 @@ def fmap_tower(depth, x):
     for _ in range(depth):
         x = fmap(lambda v: v + 1, x)
     return x
+
+
+def right_loop(n):
+    """7 after n steps, as ``delay_by(k, 1) >>= (lambda _: loop(k - 1))``."""
+    return now(7) if n == 0 else bind(lambda _: right_loop(n - 1), delay_by(n, 1))
 
 
 def stepping_search(n):
@@ -152,6 +157,29 @@ class TestLongRuns:
             tracemalloc.stop()
         assert head is not None
         assert retained < 2**20
+
+    @pytest.mark.parametrize(
+        "judge, verdict",
+        [
+            (lambda n: converges_to(right_loop(n), 7, n + 10), "Holds"),
+            (lambda n: diverges_bounded(right_loop(n), n + 10), "Fails"),
+            (lambda n: is_finite(right_loop(n), n + 10), "Holds"),
+            (lambda n: bisim(right_loop(n), right_loop(n), n + 10), "Holds"),
+            (lambda n: leq(right_loop(n), right_loop(n), n + 10), "Holds"),
+        ],
+        ids=["converges_to", "diverges_bounded", "is_finite", "bisim", "leq"],
+    )
+    @pytest.mark.parametrize("n", [2_000, 20_000])
+    def test_a_judge_keeps_no_side_it_has_run(self, judge, verdict, n):
+        # No judge holds a side once its run starts, so a temporary right
+        # bind loop's memoised steps are freed as the run passes them.
+        tracemalloc.start()
+        try:
+            assert str(judge(n)) == verdict
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**14
 
     def test_sloth_observed_with_fuel_20000(self):
         tracemalloc.start()
