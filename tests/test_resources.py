@@ -36,7 +36,7 @@ def fmap_tower(depth, x):
 
 
 def right_loop(n):
-    """7 after n steps, as ``delay_by(k, 1) >>= (lambda _: loop(k - 1))``."""
+    """7 after n steps, as ``delay_by(n, 1) >>= (lambda _: right_loop(n - 1))``."""
     return now(7) if n == 0 else bind(lambda _: right_loop(n - 1), delay_by(n, 1))
 
 
