@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Save one benchmark run as a JSON file, or compare two saved runs.
+"""Save one benchmark run as a JSON file, or compare saved runs.
 
     python3 scripts/bench_json.py BENCH_<n>.json
-    python3 scripts/bench_json.py --compare OLD.json NEW.json
+    python3 scripts/bench_json.py --compare OLD.json [...] NEW.json [...]
 
 The first form runs ``perfbench/run.py --workload all --seed 4242`` for
 the seconds per workload that ``BENCHMARK.json`` sets, and saves the last
@@ -13,11 +13,14 @@ of a fresh process that runs the first ``RSS_OPS`` ops of the workload at
 that seed through ``perfbench/workloads.py``.  The run's own
 ``peak_rss_mb`` includes the harness's per-op lists, which grow with the
 ops done, so a faster program reads as a bigger one there; at a fixed op
-count it does not.  The second form prints, for each end-to-end metric
-of the two files, the ratio NEW / OLD beside the metric's bound in
+count it does not.  The second form takes an even number of files: the
+first half are runs of the old tree, the second half runs of the new one.
+It prints, for each end-to-end metric, the median over each side's runs
+and the ratio NEW / OLD of the medians beside the metric's bound in
 ``BENCHMARK.json`` (``peak_rss_mb``'s for ``rss_mb_at_ops``), and exits 1
-if any ratio is worse than its bound; a metric only one file has is
-printed with ``-`` for the other.
+if any ratio is worse than its bound; a metric only one side has is
+printed with ``-`` for the other.  With one file per side the medians are
+the two runs' own figures.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import platform
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -87,9 +91,18 @@ def rss_mb_at_ops(workload: str, ops: int = RSS_OPS) -> float:
     return float(run.stdout)
 
 
-def compare(old_path: str, new_path: str) -> int:
+def medians(paths: list[str]) -> dict:
+    """Each metric's median value over the saved runs ``paths`` that have it."""
+    values: dict = {}
+    for path in paths:
+        for key, metric in json.loads(Path(path).read_text())["metrics"].items():
+            values.setdefault(key, []).append(metric["value"])
+    return {key: statistics.median(vs) for key, vs in values.items()}
+
+
+def compare(old_paths: list[str], new_paths: list[str]) -> int:
     bounds = {m["name"]: m for m in BENCHMARK["end_to_end"]}
-    old, new = (json.loads(Path(p).read_text())["metrics"] for p in (old_path, new_path))
+    old, new = medians(old_paths), medians(new_paths)
     worse = 0
     print(f"{'metric':<28}{'old':>12}{'new':>12}{'ratio':>8}{'bound':>8}")
     for key in sorted(old.keys() | new.keys()):
@@ -99,9 +112,9 @@ def compare(old_path: str, new_path: str) -> int:
             continue
         if key not in old or key not in new:
             print(f"{key:<28}" + "".join(
-                f"{side[key]['value']:>12.5g}" if key in side else f"{'-':>12}" for side in (old, new)))
+                f"{side[key]:>12.5g}" if key in side else f"{'-':>12}" for side in (old, new)))
             continue
-        a, b = old[key]["value"], new[key]["value"]
+        a, b = old[key], new[key]
         ratio = b / a if a else float("inf")
         # The worst ratio a metric may reach: 1 - bound if higher is better, else 1 + bound.
         sign = -1 if spec["better"] == "higher" else 1
@@ -115,10 +128,14 @@ def compare(old_path: str, new_path: str) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("out", nargs="?", help="the file to save a new run in")
-    parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"))
+    parser.add_argument("--compare", nargs="+", metavar="RUN",
+                        help="runs of the old tree, then as many runs of the new one")
     opts = parser.parse_args(argv)
     if opts.compare:
-        return compare(*opts.compare)
+        half, odd = divmod(len(opts.compare), 2)
+        if odd:
+            parser.error("--compare takes as many new runs as old ones")
+        return compare(opts.compare[:half], opts.compare[half:])
     if opts.out is None:
         parser.error("give a file to save the run in, or --compare OLD NEW")
     return save(opts.out)

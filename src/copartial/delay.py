@@ -7,13 +7,15 @@ can observe any ``Delay`` safely; binds nested to any depth re-associate
 as they step, so a peel costs amortised O(1) host work and stack, and a
 race round O(live racers), with no host nesting.  A bind node has the
 class of the step it runs, so tagged steps keep their tags.
-``delay_by(v, n)`` is one node for its whole run of ``n`` steps, and an
-``unfold`` is one node over its step function: ``rest()`` peels one
-step, and the peel loops cut a run, an unfold or a knot (a node that is
-its own tail, such as ``never()``), bare or at the head of binds, in one
-go while charging one fuel per step.  One function, ``_skip``, runs every
-node's thunk and memoises each cut in the node it cut, so a thunk runs
-once per step however often its node is run.  The constructors
+``delay_by(v, n)`` is one node for its whole run of ``n`` steps, an
+``unfold`` is one node over its step function, and the private ``_gen``
+makes one node over a generator that yields once per step and returns
+its final ``Now``: ``rest()`` peels one step, and the peel loops cut a
+run, an unfold, a generator or a knot (a node that is its own tail, such
+as ``never()``), bare or at the head of binds, in one go while charging
+one fuel per step.  One function, ``_skip``, runs every node's thunk
+and memoises each cut in the node it cut, so a thunk runs once per step
+however often its node is run.  The constructors
 ``now``/``later`` are the classes ``Now``/``Later``; an ``unfold`` step
 finishes with ``Done``, which is ``Now``.  A run's result, ``Converged``
 or ``Exhausted``, is a record: a slotted value class over ``_Record``,
@@ -78,7 +80,8 @@ class Later(Delay[A]):
     """One computation step; ``rest()`` forces the next stage, once.
 
     The thunk is a closure, or one of the tagged tuples ``_Run``,
-    ``_Unfold`` and ``_Bind``, and ``_skip`` is the one code that runs it.
+    ``_Unfold``, ``_Gen`` and ``_Bind``, and ``_skip`` is the one code that
+    runs it.
     Two conditions keep a forced chain from holding more than its live
     state.  The thunk is dropped once run (a cut of more than one step
     leaves a run in its place), so a node no longer reaches what its step
@@ -249,8 +252,40 @@ class _Unfold(tuple):
                 return Later(_Unfold((step, s))), k
 
 
+def _gen(gen) -> Delay:
+    # The steps of a generator: one per ``yield``, then the ``Now`` it
+    # returns.  Its first step is taken now, as ``unfold``'s is.
+    return _Gen((gen,)).drop(1)[0]
+
+
+class _Gen(tuple):
+    """The thunk ``(gen,)`` of a generator's node: one step is one ``next``,
+    and the ``Now`` the generator returns is the rest; ``drop`` peels up to
+    a budget in one loop over ``next``.  An exception that escapes a cut
+    closes the generator, whose advance no node has recorded, so running
+    the node again raises, as it does once an exception inside the
+    generator has closed it, instead of reporting fewer steps."""
+
+    __slots__ = ()
+
+    def drop(self, budget: int | float) -> tuple[Delay, int]:
+        gen = self[0]
+        try:
+            for k in count(1):
+                next(gen)
+                if k == budget:
+                    return Later(self), k
+        except StopIteration as stop:
+            if stop.value is None:
+                raise RuntimeError("this run was cut by an exception and cannot resume") from None
+            return stop.value, k
+        except BaseException:
+            gen.close()
+            raise
+
+
 # The thunks whose node ``_skip`` cuts in one ``drop``.
-_BULK = (_Run, _Unfold)
+_BULK = (_Run, _Unfold, _Gen)
 
 
 def fmap(f: Callable[[A], B], x: Delay[A]) -> Delay[B]:
@@ -306,8 +341,8 @@ def _resume(x: Delay, ks: Any) -> Delay:
 def _skip(x: Later, budget: int | float) -> tuple[Delay, int]:
     """Peel ``k`` of at most ``budget`` >= 1 steps off ``x``; return the rest and ``k``.
 
-    The one code that runs a thunk.  A run or an unfold is cut in one
-    ``drop``, and a knot, such as ``never()``, is a run without end; each,
+    The one code that runs a thunk.  A run, an unfold or a generator is
+    cut in one ``drop``, and a knot, such as ``never()``, is a run without end; each,
     bare or at the head of binds, is cut at once, and every step cut has
     ``x``'s class.  A closure thunk peels one step.  The one memo rule: a
     cut of one step is memoised as ``x``'s forced tail, and a cut of ``k``
@@ -418,8 +453,9 @@ def _check_fuel(fuel: int) -> None:
 def run_for(x: Delay[A], fuel: int) -> RunResult[A]:
     """Peel at most ``fuel`` steps; report the value or the remainder.
 
-    Every step costs one fuel; a run or a knot is cut at once, and an
-    unfold's steps in one loop over its step function.
+    Every step costs one fuel; a run or a knot is cut at once, an
+    unfold's steps in one loop over its step function, and a generator's
+    in one loop over ``next``.
     """
     _check_fuel(fuel)
     steps = 0

@@ -6,14 +6,15 @@ defining equation written with ``bind`` and ``fmap``, one step per
 unfolding and one per return into a pending outer call.  ``cnest``
 flattens ``nest`` with a counter of pending applications, and
 ``cps_fix``, whose single recursion leaves only post-maps pending,
-counts those; both are ``unfold``s.
+counts those; each is a generator that yields once per step, and its
+node is cut in one loop over ``next``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Generic, TypeVar
+from typing import Callable, Generator, Generic, TypeVar
 
-from .delay import Again, Delay, _Record, bind, fmap, later, now, unfold
+from .delay import Delay, _gen, _Record, bind, fmap, later, now
 
 A = TypeVar("A")
 
@@ -40,17 +41,17 @@ class DevilSpec(_Record, Generic[A]):
 def cnest(n: int, m: int) -> Delay[int]:
     """Compute the m-fold self-application of ``nest`` at ``n``.
 
-    An unfold over ``(n, m)``: the counter ``m`` holds the number of
+    A generator over ``(n, m)``: the counter ``m`` holds the number of
     pending nested applications; one step per transition.
     """
-    return unfold((n, m), _cnest_step)
+    return _gen(_cnest(n, m))
 
 
-def _cnest_step(s: tuple[int, int]) -> Again[tuple[int, int]] | Delay[int]:
-    n, m = s
-    if m == 0:
-        return now(n)
-    return Again((0, m - 1) if n == 0 else (n - 1, m + 1))
+def _cnest(n: int, m: int) -> Generator[None, None, Delay[int]]:
+    while m:
+        n, m = (0, m - 1) if n == 0 else (n - 1, m + 1)
+        yield
+    return now(n)
 
 
 def nest(n: int) -> Delay[int]:
@@ -80,19 +81,22 @@ def cps_fix(
     """``d(a) = g(a) if in_base(a) else h(d(i(a)))``, one step per unfolding.
 
     Single recursion leaves nothing pending but applications of ``h``, so
-    it is an unfold over ``(hs, x)``: ``hs`` applications of ``h`` are
+    it is a generator over ``(hs, x)``: ``hs`` applications of ``h`` are
     still pending on top of ``d(x)``, and are applied to the base value.
     """
-    def step(s: tuple[int, A]) -> Again[tuple[int, A]] | Delay[A]:
-        hs, x = s
-        if in_base(x):
-            gx = g(x)
-            for _ in range(hs):
-                gx = h(gx)
-            return now(gx)
-        return Again((hs + 1, i(x)))
+    return _gen(_cps_fix(in_base, g, i, h, a))
 
-    return unfold((0, a), step)
+
+def _cps_fix(in_base: Callable[[A], bool], g: Callable[[A], A], i: Callable[[A], A],
+             h: Callable[[A], A], x: A) -> Generator[None, None, Delay[A]]:
+    hs = 0
+    while not in_base(x):
+        hs, x = hs + 1, i(x)
+        yield
+    gx = g(x)
+    for _ in range(hs):
+        gx = h(gx)
+    return now(gx)
 
 
 def mccarthy91_devil_spec() -> DevilSpec[int]:

@@ -1,5 +1,5 @@
-"""scripts/bench_json.py: --compare reads two saved runs, with no benchmark
-run, and the fixed-op-count RSS reading runs at a tiny op count."""
+"""scripts/bench_json.py: --compare reads saved runs, with no benchmark run,
+and the fixed-op-count RSS reading runs at a tiny op count."""
 
 import json
 import subprocess
@@ -15,8 +15,8 @@ if str(SCRIPT.parent) not in sys.path:
 import bench_json  # noqa: E402
 
 
-def compare(old, new):
-    proc = subprocess.run([sys.executable, str(SCRIPT), "--compare", old, new],
+def compare(*runs):
+    proc = subprocess.run([sys.executable, str(SCRIPT), "--compare", *runs],
                           capture_output=True, text=True, timeout=60)
     assert proc.stderr == ""
     return proc.returncode, proc.stdout.splitlines()
@@ -68,6 +68,31 @@ def test_compare_bounds_rss_at_ops_by_peak_rss(tmp_path):
     code, lines = compare(old, new)
     assert code == 1
     assert lines[1].split() == ["semidecide.rss_mb_at_ops", "20", "24", "1.200", "1.15", "WORSE"]
+
+
+def test_compare_takes_the_median_of_each_sides_runs(tmp_path):
+    # A single new draw of 700 would be WORSE; the median of three is not.
+    old = [saved(tmp_path, f"old{i}.json", {"interp.ops_per_s": v, "interp.verdict_p50_ms": 1.0})
+           for i, v in enumerate((1000, 980, 1020))]
+    new = [saved(tmp_path, f"new{i}.json", {"interp.ops_per_s": v, "interp.verdict_p50_ms": p})
+           for i, (v, p) in enumerate(((700, 1.1), (990, 0.9), (1010, 0.8)))]
+    code, lines = compare(*old, *new)
+    assert code == 0
+    assert [line.split() for line in lines[1:]] == [
+        ["interp.ops_per_s", "1000", "990", "0.990", "0.75"],
+        ["interp.verdict_p50_ms", "1", "0.9", "0.900", "1.25"],
+    ]
+    code, lines = compare(old[0], new[0])
+    assert code == 1
+    assert lines[1].split() == ["interp.ops_per_s", "1000", "700", "0.700", "0.75", "WORSE"]
+
+
+def test_compare_refuses_an_odd_number_of_runs(tmp_path):
+    run = saved(tmp_path, "run.json", {"cli.ops_per_s": 10})
+    proc = subprocess.run([sys.executable, str(SCRIPT), "--compare", run, run, run],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert "as many new runs as old ones" in proc.stderr
 
 
 @pytest.mark.parametrize("workload", bench_json.RSS_WORKLOADS)

@@ -1,10 +1,14 @@
 """Nested recursion: the nest function, the devil's nest, cps_fix."""
 
+import sys
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from copartial import Converged, Exhausted, bisim, run_for, unfold, Again, Done
+from copartial import Converged, Exhausted, bisim, run_for, strict_pair, unfold, Again, Done
+from copartial.delay import _Gen
 from copartial.nested import DevilSpec, cnest, cps_fix, devil, mccarthy91_devil_spec
 
 FUEL = 10_000
@@ -131,3 +135,117 @@ class TestCpsFix:
             via_cps = cps_fix(in_base, g, i, lambda v: v, a)
             step = lambda n: Done(g(n)) if in_base(n) else Again(i(n))
             assert bisim(via_cps, unfold(a, step), FUEL).is_holds(), a
+
+
+def cnest_by_unfold(n, m):
+    """``cnest`` as an unfold over its step function."""
+    def step(s):
+        n, m = s
+        if m == 0:
+            return Done(n)
+        return Again((0, m - 1) if n == 0 else (n - 1, m + 1))
+
+    return unfold((n, m), step)
+
+
+def cps_fix_by_unfold(in_base, g, i, h, a):
+    """``cps_fix`` as an unfold over ``(hs, x)``."""
+    def step(s):
+        hs, x = s
+        if in_base(x):
+            gx = g(x)
+            for _ in range(hs):
+                gx = h(gx)
+            return Done(gx)
+        return Again((hs + 1, i(x)))
+
+    return unfold((0, a), step)
+
+
+@st.composite
+def cps_fix_args(draw):
+    """A threshold recursion: base at or above ``top``, ``i`` adding 0..3
+    (0 never reaches the base below ``top``), affine ``g`` and ``h``."""
+    top, a = draw(st.integers(0, 60)), draw(st.integers(0, 60))
+    di, gm, gc, hm, hc = (draw(st.integers(lo, 3)) for lo in (0, -3, -3, -3, -3))
+    return (lambda x: x >= top, lambda x: gm * x + gc, lambda x: x + di,
+            lambda v: hm * v + hc, a)
+
+
+def same_run(x, y, fuel=FUEL):
+    rx, ry = run_for(x, fuel), run_for(y, fuel)
+    if isinstance(rx, Exhausted):
+        assert isinstance(ry, Exhausted)
+    else:
+        assert rx == ry
+
+
+def cut_and_resume(d, budgets):
+    """Run ``d`` a budget at a time, from each ``Exhausted.rest``, then to the
+    end; return the value and the steps summed over the cuts."""
+    spent = 0
+    for budget in budgets:
+        r = run_for(d, budget)
+        if isinstance(r, Converged):
+            return r.value, spent + r.steps
+        d, spent = r.rest, spent + budget
+    r = run_for(d, FUEL)
+    return r.value, spent + r.steps
+
+
+class TestGenerators:
+    """``cnest`` and ``cps_fix`` are generators, cut in bulk by ``_Gen``."""
+
+    @given(st.integers(0, 40), st.integers(0, 6))
+    def test_cnest_matches_an_unfold_of_its_step(self, n, m):
+        same_run(cnest(n, m), cnest_by_unfold(n, m))
+
+    @given(cps_fix_args())
+    def test_cps_fix_matches_an_unfold_of_its_step(self, args):
+        same_run(cps_fix(*args), cps_fix_by_unfold(*args))
+
+    @given(st.integers(0, 40), st.integers(1, 4),
+           st.lists(st.integers(0, 30), max_size=8), st.booleans())
+    @settings(max_examples=200)
+    def test_cuts_resumes_and_reruns_take_the_same_steps(self, n, m, budgets, cps):
+        def fresh():
+            if cps:
+                return cps_fix(lambda x: x >= 50, lambda x: x, lambda x: x + 1,
+                               lambda v: v + 1, n)
+            return cnest(n, m)
+
+        whole = run_for(fresh(), FUEL)
+        assert cut_and_resume(fresh(), budgets) == (whole.value, whole.steps)
+        d = fresh()
+        assert cut_and_resume(d, budgets) == (whole.value, whole.steps)
+        # Every cut above is memoised in ``d``, so a run from its head reads them back.
+        assert run_for(d, FUEL) == whole
+        d = fresh()
+        assert run_for(strict_pair(d, d), FUEL) == Converged(
+            (whole.value, whole.value), 2 * whole.steps)
+
+    def test_an_exception_in_a_cut_closes_the_generator(self):
+        # Raised in ``_Gen.drop`` after ``next`` has returned four times and
+        # before the cut is recorded: a second run must not read the
+        # advanced generator as the node's start.
+        class Interrupt(Exception):
+            pass
+
+        def local(frame, event, arg):
+            if event == "line" and frame.f_locals.get("k") == 5:
+                raise Interrupt
+            return local
+
+        def interrupt(frame, event, arg):
+            return local if frame.f_code is _Gen.drop.__code__ else None
+
+        d = cnest(20, 1)
+        outer = sys.gettrace()
+        sys.settrace(interrupt)
+        try:
+            with pytest.raises(Interrupt):
+                run_for(d, FUEL)
+        finally:
+            sys.settrace(outer)
+        with pytest.raises(RuntimeError, match="cannot resume"):
+            run_for(d, FUEL)
