@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import operator
 from itertools import count
-from typing import Any, Callable, Generic, Sequence, TypeVar, Union
+from typing import Any, Callable, Generator, Generic, Sequence, TypeVar, Union
 
 A = TypeVar("A")
 B = TypeVar("B")
@@ -80,10 +80,9 @@ class Later(Delay[A]):
     """One computation step; ``rest()`` forces the next stage, once.
 
     The thunk is a closure, or one of the tagged tuples ``_Run``,
-    ``_Unfold``, ``_Gen`` and ``_Bind``, and ``_skip`` is the one code that
-    runs it.
-    Two conditions keep a forced chain from holding more than its live
-    state.  The thunk is dropped once run (a cut of more than one step
+    ``_Unfold``, ``_Gen`` and ``_Bind``, and ``_skip`` is the one code
+    that runs it.  Two conditions keep a forced chain from holding more
+    than its live state.  The thunk is dropped once run (a cut of more than one step
     leaves a run in its place), so a node no longer reaches what its step
     closure captured.  And a step closure must never reach its own
     function (no nested function that calls itself): such a function and
@@ -252,7 +251,7 @@ class _Unfold(tuple):
                 return Later(_Unfold((step, s))), k
 
 
-def _gen(gen) -> Delay:
+def _gen(gen: Generator[None, None, Now[A]]) -> Delay[A]:
     # The steps of a generator: one per ``yield``, then the ``Now`` it
     # returns.  Its first step is taken now, as ``unfold``'s is.
     return _Gen((gen,)).drop(1)[0]
@@ -261,10 +260,11 @@ def _gen(gen) -> Delay:
 class _Gen(tuple):
     """The thunk ``(gen,)`` of a generator's node: one step is one ``next``,
     and the ``Now`` the generator returns is the rest; ``drop`` peels up to
-    a budget in one loop over ``next``.  An exception that escapes a cut
-    closes the generator, whose advance no node has recorded, so running
-    the node again raises, as it does once an exception inside the
-    generator has closed it, instead of reporting fewer steps."""
+    a budget in one loop over ``next``.  A cut is recorded only when
+    ``drop`` returns, so an exception that escapes it closes the
+    generator: running the node again then raises "cannot resume", as
+    after an exception inside the generator, instead of reporting fewer
+    steps."""
 
     __slots__ = ()
 
@@ -342,9 +342,9 @@ def _skip(x: Later, budget: int | float) -> tuple[Delay, int]:
     """Peel ``k`` of at most ``budget`` >= 1 steps off ``x``; return the rest and ``k``.
 
     The one code that runs a thunk.  A run, an unfold or a generator is
-    cut in one ``drop``, and a knot, such as ``never()``, is a run without end; each,
-    bare or at the head of binds, is cut at once, and every step cut has
-    ``x``'s class.  A closure thunk peels one step.  The one memo rule: a
+    cut in one ``drop``, and a knot, such as ``never()``, is a run without
+    end; each, bare or at the head of binds, is cut at once, and every
+    step cut has ``x``'s class.  A closure thunk peels one step.  The one memo rule: a
     cut of one step is memoised as ``x``'s forced tail, and a cut of ``k``
     > 1 as a run of ``k`` steps before the rest (a run is that already).
     A bind's head is cut through ``_skip`` too, unless it is a run, which

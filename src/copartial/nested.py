@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Callable, Generator, Generic, TypeVar
 
-from .delay import Delay, _gen, _Record, bind, fmap, later, now
+from .delay import Delay, Now, _gen, _Record, bind, fmap, later, now
 
 A = TypeVar("A")
 
@@ -47,7 +47,7 @@ def cnest(n: int, m: int) -> Delay[int]:
     return _gen(_cnest(n, m))
 
 
-def _cnest(n: int, m: int) -> Generator[None, None, Delay[int]]:
+def _cnest(n: int, m: int) -> Generator[None, None, Now[int]]:
     while m:
         n, m = (0, m - 1) if n == 0 else (n - 1, m + 1)
         yield
@@ -88,7 +88,7 @@ def cps_fix(
 
 
 def _cps_fix(in_base: Callable[[A], bool], g: Callable[[A], A], i: Callable[[A], A],
-             h: Callable[[A], A], x: A) -> Generator[None, None, Delay[A]]:
+             h: Callable[[A], A], x: A) -> Generator[None, None, Now[A]]:
     hs = 0
     while not in_base(x):
         hs, x = hs + 1, i(x)
