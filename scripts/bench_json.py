@@ -13,8 +13,12 @@ of a fresh process that runs the first ``RSS_OPS`` ops of the workload at
 that seed through ``perfbench/workloads.py``.  The run's own
 ``peak_rss_mb`` includes the harness's per-op lists, which grow with the
 ops done, so a faster program reads as a bigger one there; at a fixed op
-count it does not.  The second form takes an even number of files: the
-first half are runs of the old tree, the second half runs of the new one.
+count it does not.  Each child runs in its own temporary copy of the
+tree without its dot-files and ``__pycache__`` directories, removed when
+the child ends, so the child compiles the tree's modules from source, as
+a run in a fresh clone does, whatever bytecode the tree holds.  The
+second form takes an even number of files: the first half are runs of
+the old tree, the second half runs of the new one.
 It prints, for each end-to-end metric, the median over each side's runs
 and the ratio NEW / OLD of the medians beside the metric's bound in
 ``BENCHMARK.json`` (``peak_rss_mb``'s for ``rss_mb_at_ops``), and exits 1
@@ -28,9 +32,11 @@ from __future__ import annotations
 import argparse
 import json
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -39,13 +45,14 @@ SEED = 4242
 RSS_WORKLOADS = ("interp", "recursion", "semidecide")
 RSS_OPS = 2560
 # Runs ops ``[0, n)`` of a workload, wrapping around as the benchmark's
-# loop does, and prints the process's peak RSS in MB.
+# loop does, and prints the process's peak RSS in MB.  Its paths are
+# relative to the tree it runs in.
 _RSS_CHILD = """
 import resource, sys
-sys.path[:0] = [sys.argv[1] + "/perfbench", sys.argv[1] + "/src"]
+sys.path[:0] = ["perfbench", "src"]
 from tracer import load_package
 from workloads import execute, make_api, make_ops, mismatch
-workload, seed, n = sys.argv[2], int(sys.argv[3]), int(sys.argv[4])
+workload, seed, n = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
 pkg = load_package()
 api = make_api(pkg, pkg, None)
 ops = make_ops(workload, seed)
@@ -60,11 +67,8 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
 
 def save(path: str) -> int:
     seconds = BENCHMARK["run_seconds"]
-    run = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "all",
-         "--seed", str(SEED), "--seconds", str(seconds)],
-        cwd=ROOT, capture_output=True, text=True,
-    )
+    run = _fresh_run(["perfbench/run.py", "--workload", "all", "--seed", str(SEED),
+                      "--seconds", str(seconds)])
     if run.returncode != 0:
         sys.stderr.write(run.stderr)
         return run.returncode
@@ -82,13 +86,23 @@ def save(path: str) -> int:
 def rss_mb_at_ops(workload: str, ops: int = RSS_OPS) -> float:
     """Peak RSS in MB of a fresh process that runs the first ``ops`` ops of
     ``workload`` at ``SEED``; raises if one of them gets a wrong answer."""
-    run = subprocess.run(
-        [sys.executable, "-c", _RSS_CHILD, str(ROOT), workload, str(SEED), str(ops)],
-        cwd=ROOT, capture_output=True, text=True,
-    )
+    run = _fresh_run(["-c", _RSS_CHILD, workload, str(SEED), str(ops)])
     if run.returncode != 0:
         raise RuntimeError(f"{workload} at {ops} ops: {run.stderr.strip()}")
     return float(run.stdout)
+
+
+def _fresh_run(args: list[str]) -> subprocess.CompletedProcess:
+    """Run Python on ``args`` in a temporary copy of the tree with no bytecode
+    cache, as in a fresh clone, and remove the copy after.  An empty
+    ``PYTHONPYCACHEPREFIX`` would hide the standard library's installed
+    bytecode as well: with ``PYTHONDONTWRITEBYTECODE`` set, every process
+    would compile ``argparse`` and the rest from source, and a ``copartial``
+    CLI process took ~350 ms instead of ~90 ms (2-core host, Python 3.11)."""
+    with tempfile.TemporaryDirectory(prefix="bench-tree-") as tmp:
+        tree = shutil.copytree(ROOT, Path(tmp) / ROOT.name,
+                               ignore=shutil.ignore_patterns(".*", "__pycache__"))
+        return subprocess.run([sys.executable, *args], cwd=tree, capture_output=True, text=True)
 
 
 def medians(paths: list[str]) -> dict:

@@ -210,7 +210,7 @@ class _Run(tuple):
 
     __slots__ = ()
 
-    def drop(self, budget: int | float) -> tuple[Delay, int]:
+    def drop(self, budget: int) -> tuple[Delay, int]:
         cls, n, tail = self
         if n <= budget:
             return tail, n
@@ -240,7 +240,7 @@ class _Unfold(tuple):
 
     __slots__ = ()
 
-    def drop(self, budget: int | float) -> tuple[Delay, int]:
+    def drop(self, budget: int) -> tuple[Delay, int]:
         step, s = self
         for k in count(1):
             r = step(s)
@@ -268,7 +268,7 @@ class _Gen(tuple):
 
     __slots__ = ()
 
-    def drop(self, budget: int | float) -> tuple[Delay, int]:
+    def drop(self, budget: int) -> tuple[Delay, int]:
         gen = self[0]
         try:
             for k in count(1):
@@ -338,7 +338,7 @@ def _resume(x: Delay, ks: Any) -> Delay:
     return type(x)(_Bind((x, ks)))
 
 
-def _skip(x: Later, budget: int | float) -> tuple[Delay, int]:
+def _skip(x: Later, budget: int) -> tuple[Delay, int]:
     """Peel ``k`` of at most ``budget`` >= 1 steps off ``x``; return the rest and ``k``.
 
     The one code that runs a thunk.  A run, an unfold or a generator is

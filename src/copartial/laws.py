@@ -8,6 +8,7 @@ reported with a counterexample.
 
 from __future__ import annotations
 
+import operator
 import random
 from typing import Callable, Optional, Sequence
 
@@ -147,6 +148,8 @@ def _check(names: Sequence[str], sides: Sides, samples: int, fuel: int,
            seed: int) -> dict[str, LawResult]:
     # Draw ``samples`` inputs from one seeded generator and judge every law on
     # each: a law fails on any refuted sample, holds once one holds, else is unknown.
+    if operator.index(samples) < 0:
+        raise ValueError("samples must be non-negative")
     rng = random.Random(seed)
     results = [LawResult(name) for name in names]
     for _ in range(samples):

@@ -13,7 +13,7 @@ strict delay version loops.
 from __future__ import annotations
 
 import enum
-import math
+import sys
 from typing import Tuple
 
 from .delay import (
@@ -84,11 +84,6 @@ def observe(x: LazyNat, fuel: int) -> Tuple[int, Ended]:
     of successors seen before the end or before the fuel ran out.
     """
     _check_fuel(fuel)
-    return _observe(x, fuel)
-
-
-def _observe(x: LazyNat, fuel: int | float) -> Tuple[int, Ended]:
-    # ``observe`` unchecked: fuel ``math.inf`` reads off a lazy natural known to end in zero.
     succs = 0
     while True:
         if isinstance(x, Now):
@@ -159,8 +154,9 @@ def _grow(n: int) -> None:
         fm, gm = _F[m], _G[m]
         # f (succ m) = f (g m) + g m.  The recursive call's argument is the
         # value of g(m).  It is only needed once gm's own constructors are
-        # exhausted, and at that point gm is known finite and can be drained.
-        _F.append(bind(lambda _, gm=gm: sloth_f(_observe(gm, math.inf)[0]), gm))
+        # exhausted, and at that point gm is known finite and can be drained
+        # by one ``observe`` whose fuel no level's run comes near.
+        _F.append(bind(lambda _, gm=gm: sloth_f(observe(gm, sys.maxsize)[0]), gm))
         # g (succ m) = g (f m) + m  if f m <= m,  else 0.  The sloth builds
         # no plain steps, so m peels of fm either reach its end, with v = f m,
         # or leave a successor more (f m > m).  Refutation only peels finitely

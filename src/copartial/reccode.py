@@ -5,19 +5,19 @@ built from zero, successor, projections, composition, primitive
 recursion and minimization, and denote maps from value tuples to delayed
 naturals whose only steps are failed minimization probes.  ``evaluate``
 forces its delayed arguments once, left to right, and compiles the code
-once, to one generated Python function: straight-line code with a ``for``
-loop per recursion and, if the code steps, a ``while`` loop per
-minimization that yields once per failed probe.  A generator is the delay
-monad's shape written directly: each ``yield`` is one step and its
-``return`` the value, so a code with steps is an ``unfold`` whose step
-resumes its generator.  The source holds only integers that the arity
-check validated and generated names.  ``arity``, ``print_code`` and the
-compiler are one walk on an explicit stack, so they take a code of any
-depth.  ``parse_code`` reads a text in one loop, also on an explicit
-stack, and checks each node's arities as it closes the node.
-``oracle_eval`` is an independent budgeted big-step evaluator over plain
-integers, to check it; it recurses, which is why ``parse_code`` bounds the
-nesting of a text.
+once, to one generated Python generator: straight-line code with a
+``for`` loop per recursion and a ``while`` loop per minimization that
+yields once per failed probe.  A generator is the delay monad's shape
+written directly: each ``yield`` is one step and its ``return`` the
+value, so every code is an ``unfold`` whose step resumes its generator,
+and a code without minimization returns at its first resumption.  The
+source holds only integers that the arity check validated and generated
+names.  ``arity``, ``print_code`` and the compiler are one walk on an
+explicit stack, so they take a code of any depth.  ``parse_code`` reads
+a text in one loop, also on an explicit stack, and checks each node's
+arities as it closes the node.  ``oracle_eval`` is an independent
+budgeted big-step evaluator over plain integers, to check it; it
+recurses, which is why ``parse_code`` bounds the nesting of a text.
 
 Concrete syntax (whitespace-insensitive)::
 
@@ -207,28 +207,28 @@ def evaluate(code: RecCode, args: Sequence[Delay[int]]) -> Delay[int]:
     compiled once per call.  The walk names no argument of the code, so
     its arity is compared with ``args`` right after it, before any name
     per argument exists.  The source holds only integers that the walk
-    validated and generated names.  A code without ``Min`` takes no step:
-    it is one function of straight-line code with a ``for`` loop per
-    ``R``.  A code with a ``Min`` is one generator of the same form with a
-    ``while`` loop per ``M`` that yields once per failed probe, run as an
-    ``unfold`` whose step is ``_next``, so a run cuts its failed probes in
-    one loop, and the unfold's memo makes each probe run once.
+    validated and generated names.  Every code is one generator of
+    straight-line code with a ``for`` loop per ``R`` and a ``while`` loop
+    per ``M`` that yields once per failed probe, run as an ``unfold``
+    whose step is ``_next``: a code without ``M`` returns at its first
+    step, inside ``unfold``, and a run cuts the failed probes of one with
+    ``M`` in one loop, while the unfold's memo makes each probe run once.
     """
     emitter = _Emitter()
-    n, (chunks, atom, _, steps) = _walk(code, emitter.combine)
+    n, (chunks, atom, _) = _walk(code, emitter.combine)
     xs = tuple(args)
     if len(xs) != n:
         raise ValueError(f"arity mismatch: code takes {n} arguments, got {len(xs)}")
     params = [emitter.fresh() for _ in range(n)]
-    body = [f"[{', '.join(params)}] = vs", *chunks, f"return {atom}" if steps else f"return Now({atom})"]
+    body = [f"[{', '.join(params)}] = vs", *chunks, f"return {atom}"]
     top = emitter.define(["vs"], "\n".join(body).format(*params))
-    ns = dict(_GLOBALS)
+    ns: dict = {}
     exec(compile("\n".join(emitter.lines), "<reccode>", "exec"), ns)
     run = ns[top]
     # A generated function left in the globals it runs in would be a cycle.
     for name in emitter.names:
         del ns[name]
-    return bind((lambda vs: unfold(run(vs), _next)) if steps else run, strict_tuple(xs))
+    return bind(lambda vs: unfold(run(vs), _next), strict_tuple(xs))
 
 
 def _next(gen) -> Again | Now:
@@ -264,14 +264,14 @@ def _indented(text: str) -> str:
 class _Emitter:
     """Source for a code, built bottom-up as the walk combines its nodes.
 
-    A part is ``(chunks, atom, loops, steps)``: its statements as chunks of
-    lines (an assignment into a fresh local per ``Z`` or ``S``, a ``for``
-    loop per ``R``, and a ``while`` loop per ``M`` that yields once per
-    failed probe); the name that holds its value; the depth of its nested
-    loops; and whether it yields.  Its argument ``j`` is the placeholder
-    ``{j}``, filled in by ``str.format`` where the part is used.  A loop
-    body that would nest past CPython's block limit is a function of the
-    placeholders it reads, called with ``yield from`` if it yields.
+    A part is ``(chunks, atom, loops)``: its statements as chunks of lines
+    (an assignment into a fresh local per ``Z`` or ``S``, a ``for`` loop
+    per ``R``, and a ``while`` loop per ``M`` that yields once per failed
+    probe); the name that holds its value; and the depth of its nested
+    loops.  Its argument ``j`` is the placeholder ``{j}``, filled in by
+    ``str.format`` where the part is used.  A loop body that would nest
+    past CPython's block limit is a generator of the placeholders it
+    reads, called with ``yield from``.
     """
 
     def __init__(self):
@@ -289,63 +289,61 @@ class _Emitter:
         # The split bodies defined so far are defaults: no global lookup reaches them.
         name = self.fresh()
         signature = ", ".join([*params, *[f"{split}={split}" for split in self.splits]])
-        self.lines += [f"def {name}({signature}):", _indented(body)]
+        # The ``yield`` after the body's ``return`` is never reached; it makes
+        # every generated function a generator, with or without an ``M``.
+        self.lines += [f"def {name}({signature}):", _indented(body), "    yield"]
         self.names.append(name)
         return name
 
     def combine(self, node: RecCode, n: int, forms: list) -> tuple:
         if isinstance(node, Proj):
-            return [], f"{{{node.i - 1}}}", 0, False
+            return [], f"{{{node.i - 1}}}", 0
         if isinstance(node, (Zero, Succ)):
             x = self.fresh()
-            return [f"{x} = 0" if isinstance(node, Zero) else f"{x} = {{0}} + 1"], x, 0, False
+            return [f"{x} = 0" if isinstance(node, Zero) else f"{x} = {{0}} + 1"], x, 0
         if isinstance(node, Comp):
-            (outer, atom, loops, steps), *gs = forms
+            (outer, atom, loops), *gs = forms
             # Each part is used once, so the first inner part's chunks take
             # the others': a tower of ``C`` is linear in its depth.
             chunks, ys = gs[0][0], []
-            for more, y, deeper, stepping in gs:
+            for more, y, deeper in gs:
                 if more is not chunks:
                     chunks += more
                 ys.append(y)
-                loops, steps = max(loops, deeper), steps or stepping
+                loops = max(loops, deeper)
             if outer:
                 chunks.append("\n".join(outer).format(*ys))
-            return chunks, atom.format(*ys), loops, steps
+            return chunks, atom.format(*ys), loops
         if isinstance(node, Min):
-            body, value, deeper, _ = self.nestable(forms[0])
+            body, value, deeper = self.nestable(forms[0])
             # Probe ``i`` is the body's last argument.
             i = self.fresh()
             text = "\n".join([*body, f"if {value} == 0:", "    break", f"{i} += 1", "yield"])
-            return [f"{i} = 0", "while True:", _indented(text.replace(f"{{{n}}}", i))], i, deeper + 1, True
-        (chunks, atom, loops, steps), step = forms
+            return [f"{i} = 0", "while True:", _indented(text.replace(f"{{{n}}}", i))], i, deeper + 1
+        (chunks, atom, loops), step = forms
         k = self.fresh()
         # The accumulator is the base's own local, or a copy of an argument.
         acc = self.fresh() if atom[0] == "{" else atom
         if acc != atom:
             chunks.append(f"{acc} = {atom}")
-        body, value, deeper, stepping = self.nestable(step)
+        body, value, deeper = self.nestable(step)
         # The step's arguments are the head's, then ``k`` and the accumulator.
         text = "\n".join([*body, f"{acc} = {value}"]).replace(f"{{{n - 1}}}", k).replace(f"{{{n}}}", acc)
         chunks += [f"for {k} in range({{{n - 1}}}):", _indented(text)]
-        return chunks, acc, max(loops, deeper + 1), steps or stepping
+        return chunks, acc, max(loops, deeper + 1)
 
     def nestable(self, form: tuple) -> tuple:
-        """``form``, or, if its loops leave no room for one more, a call of it
-        as a function whose parameters are the placeholders it reads.  Its
-        value is the call itself: ``R`` and ``M`` read a body's value once."""
-        chunks, atom, loops, steps = form
+        """``form``, or, if its loops leave no room for one more, ``yield from``
+        it as a generator whose parameters are the placeholders it reads.
+        That is its value: ``R`` and ``M`` read a body's value once."""
+        chunks, atom, loops = form
         if loops < _MAX_LOOPS:
             return form
         text = "\n".join([*chunks, f"return {atom}"])
         params = {j: self.fresh() for j in dict.fromkeys(_PLACEHOLDER.findall(text))}
         self.splits.append(self.define([*params.values()], _PLACEHOLDER.sub(lambda m: params[m[1]], text)))
         call = f"{self.splits[-1]}({', '.join(f'{{{j}}}' for j in params)})"
-        return [], f"(yield from {call})" if steps else call, 0, steps
-
-
-# The names the generated source uses besides its own.
-_GLOBALS = {"Now": Now}
+        return [], f"(yield from {call})", 0
 
 
 class _Budget:

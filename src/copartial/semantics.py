@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional, TypeVar, Union
 
-from .delay import Again, Converged, Delay, Done, _Record, run_for
+from .delay import Again, Converged, Delay, Done, _check_fuel, _Record, run_for
 
 A = TypeVar("A")
 S = TypeVar("S")
@@ -115,8 +115,10 @@ def diverges_finite_state(
     ``Holds`` if iteration revisits a seed before producing a value,
     ``Fails`` if a value is produced, ``Unknown`` once ``state_bound``
     distinct seeds have been seen.  Seeds must be hashable with a
-    meaningful equality.
+    meaningful equality.  The seeds seen are the fuel spent, so
+    ``state_bound`` is checked as fuel.
     """
+    _check_fuel(state_bound)
     seen = set()
     s = seed
     while True:

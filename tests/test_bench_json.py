@@ -104,3 +104,37 @@ def test_rss_at_a_tiny_op_count(workload):
 def test_rss_at_ops_refuses_an_unknown_workload():
     with pytest.raises(RuntimeError, match="nope at 3 ops"):
         bench_json.rss_mb_at_ops("nope", 3)
+
+
+def test_each_child_runs_in_a_fresh_copy_without_bytecode(tmp_path, monkeypatch):
+    # A tree with stale bytecode and a dot-directory beside its sources.
+    root = tmp_path / "repo"
+    for name in ("src/copartial/reccode.py", "src/copartial/__pycache__/reccode.cpython-311.pyc",
+                 "perfbench/run.py", "perfbench/__pycache__/run.cpython-311.pyc", ".git/HEAD"):
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text(name)
+    monkeypatch.setattr(bench_json, "ROOT", root)
+    trees = []
+
+    def fake_run(argv, cwd, **kwargs):
+        if argv[0] == "git":
+            return subprocess.CompletedProcess(argv, 0, "abc\n", "")
+        tree = Path(cwd)
+        trees.append(tree)
+        assert argv[0] == sys.executable
+        assert root not in tree.parents and tree != root
+        assert sorted(str(p.relative_to(tree)) for p in tree.rglob("*")) == [
+            "perfbench", "perfbench/run.py", "src", "src/copartial", "src/copartial/reccode.py"]
+        out = '{"correct": true, "metrics": {}}' if "perfbench/run.py" in argv else "12.5"
+        return subprocess.CompletedProcess(argv, 0, out + "\n", "")
+
+    monkeypatch.setattr(bench_json.subprocess, "run", fake_run)
+    assert bench_json.save(str(tmp_path / "run.json")) == 0
+    saved_run = json.loads((tmp_path / "run.json").read_text())
+    assert saved_run["commit"] == "abc"
+    assert saved_run["metrics"] == {f"{w}.rss_mb_at_ops": {"value": 12.5, "unit": "MB"}
+                                    for w in bench_json.RSS_WORKLOADS}
+    # One copy per child: the run, then one per in-process workload; each is gone.
+    assert len(set(trees)) == len(trees) == 1 + len(bench_json.RSS_WORKLOADS)
+    assert not any(tree.exists() for tree in trees)
+    assert (root / "src/copartial/__pycache__").is_dir()

@@ -1,5 +1,7 @@
 """Law suites over sampled delays, plus a mutation check."""
 
+import pytest
+
 from copartial.delay import bind, delay_by, fmap
 from copartial.laws import DelayGen, check_kleisli_laws, check_strength_laws
 
@@ -62,3 +64,16 @@ class TestMutation:
         )
         for name, r in results.items():
             assert r.fails == 0, name
+
+
+class TestSamples:
+    @pytest.mark.parametrize("check", [check_kleisli_laws, check_strength_laws])
+    def test_negative_samples_are_refused(self, check):
+        with pytest.raises(ValueError, match="samples must be non-negative"):
+            check(GEN, -5, 64)
+
+    @pytest.mark.parametrize("check", [check_kleisli_laws, check_strength_laws])
+    def test_zero_samples_leave_every_law_unknown(self, check):
+        for name, r in check(GEN, 0, 64).items():
+            assert (r.holds, r.fails, r.unknown) == (0, 0, 0), name
+            assert r.verdict.is_unknown() and r.verdict.fuel_spent == 64, name

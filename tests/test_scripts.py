@@ -59,6 +59,34 @@ def test_fixpoint_steps():
     assert run_script("fixpoint_steps.py", "--fuel", "2000") == FIXPOINT_TABLE.splitlines()
 
 
+# Every line of ``sloth_table.py --max-n 14 --fuel 300``: lazy and strict
+# sloth values and step counts, and where each runs out of fuel.
+SLOTH_TABLE = """\
+fuel=300; '>=k?' means k successors seen, then fuel ran out
+  n   lazy f   lazy g         strict f         strict g
+  0        0        0      0 (1 steps)      0 (1 steps)
+  1        0        0      0 (5 steps)      0 (5 steps)
+  2        0        1      0 (9 steps)      1 (9 steps)
+  3        1        2     1 (17 steps)     2 (13 steps)
+  4        2        3     2 (25 steps)     3 (25 steps)
+  5        4        5     4 (45 steps)     5 (37 steps)
+  6        9        8     9 (85 steps)     8 (73 steps)
+  7        8        0    8 (167 steps)     0 (87 steps)
+  8        0        0     0 (91 steps)    0 (169 steps)
+  9        0        8    0 (173 steps)     8 (95 steps)
+ 10        8        9    8 (189 steps)    9 (177 steps)
+ 11        9       10        exhausted        exhausted
+ 12       18       19        exhausted        exhausted
+ 13   >=300?        0        exhausted        exhausted
+ 14        0        0        exhausted        exhausted
+"""
+
+
+def test_sloth_table_every_line():
+    lines = run_script("sloth_table.py", "--max-n", "14", "--fuel", "300")
+    assert lines == SLOTH_TABLE.splitlines()
+
+
 def test_sloth_table():
     lines = run_script("sloth_table.py", "--max-n", "14", "--fuel", "300")
     assert lines[0] == "fuel=300; '>=k?' means k successors seen, then fuel ran out"

@@ -1,5 +1,6 @@
 """Verdicts for convergence, divergence, bisimilarity, and the order."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -56,6 +57,21 @@ class TestDivergesFiniteState:
 
     def test_increasing_seeds_unknown(self):
         assert diverges_finite_state(0, lambda s: Again(s + 1), 100).is_unknown()
+
+    def test_state_bound_is_checked_as_fuel(self):
+        # Checked before the first step: a bad bound is refused, not read as none.
+        def step(s):
+            raise AssertionError("stepped")
+
+        with pytest.raises(ValueError, match="non-negative"):
+            diverges_finite_state(0, step, -3)
+        for bound in (2.5, "3", None):
+            with pytest.raises(TypeError):
+                diverges_finite_state(0, step, bound)
+
+    def test_zero_state_bound_is_unknown_at_once(self):
+        v = diverges_finite_state(0, lambda s: Again(s), 0)
+        assert v.is_unknown() and v.fuel_spent == 0
 
 
 class TestIsFinite:
