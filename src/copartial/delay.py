@@ -9,17 +9,17 @@ race round O(live racers), with no host nesting.  A bind node has the
 class of the step it runs, so tagged steps keep their tags.
 ``delay_by(v, n)`` is one node for its whole run of ``n`` steps, an
 ``unfold`` is one node over its step function, and the private ``_gen``
-makes one node over a generator that yields once per step and returns
-its final ``Now``: ``rest()`` peels one step, and the peel loops cut a
-run, an unfold, a generator or a knot (a node that is its own tail, such
-as ``never()``), bare or at the head of binds, in one go while charging
-one fuel per step.  One function, ``_skip``, runs every node's thunk
-and memoises each cut in the node it cut, so a thunk runs once per step
-however often its node is run.  The constructors
-``now``/``later`` are the classes ``Now``/``Later``; an ``unfold`` step
-finishes with ``Done``, which is ``Now``.  A run's result, ``Converged``
-or ``Exhausted``, is a record: a slotted value class over ``_Record``,
-the one base of every record in the package.
+makes one node over a generator, such as a race's rounds, that yields
+once per step and returns its rest, a ``Delay``: ``rest()`` peels one
+step, and the peel loops cut a run, an unfold, a generator or a knot (a
+node that is its own tail, such as ``never()``), bare or at the head of
+binds, in one go while charging one fuel per step.  One function,
+``_skip``, runs every node's thunk and memoises each cut in the node it
+cut, so a thunk runs once per step however often its node is run.  The
+constructors ``now``/``later`` are the classes ``Now``/``Later``; an
+``unfold`` step finishes with ``Done``, which is ``Now``.  A run's
+result, ``Converged`` or ``Exhausted``, is a record: a slotted value
+class over ``_Record``, the one base of every record in the package.
 """
 
 from __future__ import annotations
@@ -227,10 +227,7 @@ def unfold(seed: S, step: Callable[[S], Union[Again[S], Done[B]]]) -> Delay[B]:
     per step, however often a node is run, so it may advance ``s`` in
     place: ``reccode`` steps a generator this way.
     """
-    r = step(seed)
-    if isinstance(r, Done):
-        return r
-    return Later(_Unfold((step, r.state)))
+    return _Unfold((step, seed)).drop(1)[0]
 
 
 class _Unfold(tuple):
@@ -251,15 +248,15 @@ class _Unfold(tuple):
                 return Later(_Unfold((step, s))), k
 
 
-def _gen(gen: Generator[None, None, Now[A]]) -> Delay[A]:
-    # The steps of a generator: one per ``yield``, then the ``Now`` it
+def _gen(gen: Generator[None, None, Delay[A]]) -> Delay[A]:
+    # The steps of a generator: one per ``yield``, then the rest it
     # returns.  Its first step is taken now, as ``unfold``'s is.
     return _Gen((gen,)).drop(1)[0]
 
 
 class _Gen(tuple):
     """The thunk ``(gen,)`` of a generator's node: one step is one ``next``,
-    and the ``Now`` the generator returns is the rest; ``drop`` peels up to
+    and the generator returns the rest, a ``Delay``; ``drop`` peels up to
     a budget in one loop over ``next``.  A cut is recorded only when
     ``drop`` returns, so an exception that escapes it closes the
     generator: running the node again then raises "cannot resume", as
@@ -306,11 +303,7 @@ def bind(f: Callable[[A], Delay[B]], x: Delay[A]) -> Delay[B]:
     host work and stack, however deeply the binds nest on either side.
     A bind node keeps the class of the head whose step it runs.
     """
-    if x is _NEVER:
-        return _NEVER
-    if isinstance(x, Now):
-        return f(x.value)
-    return type(x)(_Bind((x, f)))
+    return _resume(x, f)
 
 
 class _Bind(tuple):
@@ -415,7 +408,7 @@ def race(x: Delay[B], y: Delay[B]) -> Delay[B]:
     Converges iff either argument converges.  The left bias is entry
     order, as in ``parallel_search``, whose caveat applies here too.
     """
-    return _race((x, y), None, 0)
+    return _gen(_race((x, y), None))
 
 
 def parallel_search(f: Callable[[int], Delay[B]]) -> Delay[B]:
@@ -427,21 +420,24 @@ def parallel_search(f: Callable[[int], Delay[B]]) -> Delay[B]:
     Racing is the one combinator here that breaks weak bisimilarity, so
     callers (``fix``) must only race entrants with compatible values.
     """
-    return _race((), f, 0)
+    return _gen(_race((), f))
 
 
-def _race(xs: Sequence[Delay[B]], f: Callable[[int], Delay[B]] | None, n: int) -> Delay[B]:
-    # One round over the racers ``xs`` in entry order; ``f(n)`` enters the next one.
+def _race(xs: Sequence[Delay[B]],
+          f: Callable[[int], Delay[B]] | None) -> Generator[None, None, Delay[B]]:
+    # One round per step over the racers ``xs`` in entry order; ``f(n)`` enters after step n + 1.
     # The canonical never is its own tail, so it drops out without changing any step.
-    live = []
-    for x in xs:
-        if isinstance(x, Now):
-            return x
-        if x is not _NEVER:
-            live.append(x)
-    if f is None and len(live) < 2:
-        return live[0] if live else _NEVER
-    return Later(lambda: _race([x.rest() for x in live] + ([f(n)] if f else []), f, n + 1))
+    for n in count():
+        live = []
+        for x in xs:
+            if isinstance(x, Now):
+                return x
+            if x is not _NEVER:
+                live.append(x)
+        if f is None and len(live) < 2:
+            return live[0] if live else _NEVER
+        yield
+        xs = [x.rest() for x in live] + ([f(n)] if f else [])
 
 
 def _check_fuel(fuel: int) -> None:

@@ -12,7 +12,9 @@ import operator
 import random
 from typing import Callable, Optional, Sequence
 
-from .delay import Converged, Delay, _Record, bind, delay_by, fmap, never, now, run_for, strength
+from .delay import (
+    Converged, Delay, _check_fuel, _Record, bind, delay_by, fmap, never, now, run_for, strength,
+)
 from .semantics import FAILS, HOLDS, Verdict, bisim, unknown
 
 __all__ = ["DelayGen", "LawResult", "check_kleisli_laws", "check_strength_laws"]
@@ -150,6 +152,7 @@ def _check(names: Sequence[str], sides: Sides, samples: int, fuel: int,
     # each: a law fails on any refuted sample, holds once one holds, else is unknown.
     if operator.index(samples) < 0:
         raise ValueError("samples must be non-negative")
+    _check_fuel(fuel)
     rng = random.Random(seed)
     results = [LawResult(name) for name in names]
     for _ in range(samples):

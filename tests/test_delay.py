@@ -310,6 +310,32 @@ class TestParallelSearch:
         assert converged(f(r.value), 64).value == r.value
 
 
+class TestRaceGenerator:
+    """A race's rounds are one generator, cut in bulk by ``_Gen``."""
+
+    @pytest.mark.parametrize("search", [True, False], ids=["entrant", "racer"])
+    def test_an_exception_in_a_cut_closes_the_race(self, search):
+        # Raised in round 4 of a 100-step cut, by the entrant f(3) or by
+        # the second racer's step: a second run must raise "cannot
+        # resume" and must not call the raising code again.
+        calls = []
+
+        def boom(n):
+            calls.append(n)
+            raise KeyError(n)
+
+        if search:
+            d = parallel_search(lambda n: boom(n) if n == 3 else never())
+        else:
+            d = race(delay_by(1, 10), bind(boom, delay_by(0, 4)))
+        with pytest.raises(KeyError):
+            run_for(d, 100)
+        assert calls == ([3] if search else [0])
+        with pytest.raises(RuntimeError, match="cannot resume"):
+            run_for(d, 100)
+        assert len(calls) == 1
+
+
 class TestStepAdditivity:
     @given(finite_delays(), st.integers(min_value=0, max_value=16))
     @settings(max_examples=100)

@@ -77,3 +77,10 @@ class TestSamples:
         for name, r in check(GEN, 0, 64).items():
             assert (r.holds, r.fails, r.unknown) == (0, 0, 0), name
             assert r.verdict.is_unknown() and r.verdict.fuel_spent == 64, name
+
+    @pytest.mark.parametrize("check", [check_kleisli_laws, check_strength_laws])
+    @pytest.mark.parametrize("fuel, error", [(-1, ValueError), (2.5, TypeError)])
+    def test_fuel_is_checked_before_any_sample(self, check, fuel, error):
+        # With no sample drawn, no ``bisim`` runs to check the fuel.
+        with pytest.raises(error):
+            check(GEN, 0, fuel)

@@ -12,7 +12,7 @@ import pytest
 import copartial
 from copartial import (
     Again, Converged, Exhausted, bind, bisim, converges_to, delay_by, diverges_bounded, fmap,
-    is_finite, later, leq, now, parallel_search, run_for, unfold,
+    is_finite, later, leq, never, now, parallel_search, race, run_for, unfold,
 )
 from copartial.fixpoint import factorial_operator, fix
 from copartial.lazy import (
@@ -157,6 +157,28 @@ class TestLongRuns:
             tracemalloc.stop()
         assert head is not None
         assert retained < 2**20
+
+    @pytest.mark.parametrize(
+        "make, answer",
+        [
+            (lambda: race(delay_by(1, 10**5), delay_by(2, 10**5 + 1)), Converged(1, 10**5)),
+            (lambda: parallel_search(lambda k: delay_by(k, 10**5) if k < 3 else never()),
+             Converged(0, 10**5 + 1)),
+        ],
+        ids=["race", "parallel_search"],
+    )
+    def test_a_race_whose_head_is_kept_retains_no_chain(self, make, answer):
+        # A race's rounds are one generator node, cut in one loop over its
+        # rounds and memoised as one run, so no node per round hangs off the head.
+        head = make()
+        tracemalloc.start()
+        try:
+            assert run_for(head, 10**6) == answer
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**13
+        assert run_for(head, 10**6) == answer
 
     @pytest.mark.parametrize(
         "judge, verdict",
