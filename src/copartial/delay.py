@@ -5,21 +5,23 @@ step followed by another ``Delay``.  All combinators here are productive:
 peeling a single constructor always terminates, so a fuel-bounded runner
 can observe any ``Delay`` safely; binds nested to any depth re-associate
 as they step, so a peel costs amortised O(1) host work and stack, and a
-race round O(live racers), with no host nesting.  A bind node has the
-class of the step it runs, so tagged steps keep their tags.
+race O(live racers) per window of rounds, with no host nesting.  A bind
+node has the class of the step it runs, so tagged steps keep their tags.
 ``delay_by(v, n)`` is one node for its whole run of ``n`` steps, an
 ``unfold`` is one node over its step function, and the private ``_gen``
-makes one node over a generator, such as a race's rounds, that yields
-once per step and returns its rest, a ``Delay``: ``rest()`` peels one
-step, and the peel loops cut a run, an unfold, a generator or a knot (a
-node that is its own tail, such as ``never()``), bare or at the head of
-binds, in one go while charging one fuel per step.  One function,
-``_skip``, runs every node's thunk and memoises each cut in the node it
-cut, so a thunk runs once per step however often its node is run.  The
-constructors ``now``/``later`` are the classes ``Now``/``Later``; an
-``unfold`` step finishes with ``Done``, which is ``Now``.  A run's
-result, ``Converged`` or ``Exhausted``, is a record: a slotted value
-class over ``_Record``, the one base of every record in the package.
+makes one node over a generator, such as a race's rounds: each resume is
+sent the steps it may take and yields the steps it took (a bare
+``yield`` is one), and the generator returns its rest, a ``Delay``.
+``rest()`` peels one step, and the peel loops cut a run, an unfold, a
+generator or a knot (a node that is its own tail, such as ``never()``),
+bare or at the head of binds, in one go while charging one fuel per
+step.  One function, ``_skip``, runs every node's thunk and memoises
+each cut in the node it cut, so a thunk runs once per step however often
+its node is run.  The constructors ``now``/``later`` are the classes
+``Now``/``Later``; an ``unfold`` step finishes with ``Done``, which is
+``Now``.  A run's result, ``Converged`` or ``Exhausted``, is a record: a
+slotted value class over ``_Record``, the one base of every record in
+the package.
 """
 
 from __future__ import annotations
@@ -192,10 +194,11 @@ def never() -> Delay[Any]:
 
 def delay_by(value: A, steps: int) -> Delay[A]:
     """``value`` behind exactly ``steps`` computation steps, as one node."""
-    return _run_node(Later, steps, Now(value), "steps must be non-negative")
+    return _run_node(Later, steps, Now(value))
 
 
-def _run_node(cls: type, n: int, tail: Delay[A], negative: str) -> Delay[A]:
+def _run_node(cls: type, n: int, tail: Delay[A],
+              negative: str = "steps must be non-negative") -> Delay[A]:
     # ``n`` steps of class ``cls`` before ``tail``: one node, or ``tail`` itself if ``n`` is 0.
     n = operator.index(n)
     if n < 0:
@@ -248,34 +251,49 @@ class _Unfold(tuple):
                 return Later(_Unfold((step, s))), k
 
 
-def _gen(gen: Generator[None, None, Delay[A]]) -> Delay[A]:
-    # The steps of a generator: one per ``yield``, then the rest it
-    # returns.  Its first step is taken now, as ``unfold``'s is.
-    return _Gen((gen,)).drop(1)[0]
+def _gen(gen: Generator[int | None, int, Delay[A]]) -> Delay[A]:
+    """The steps of a generator, then the rest it returns, as one node.
+
+    A fresh generator is run to its first ``yield`` with ``next``, and that
+    yield is one step, taken now, as an ``unfold``'s first step is; if the
+    generator returns instead, its rest is the node.  Every later resume
+    is a ``send`` of a step budget, as ``_Gen`` says.
+    """
+    try:
+        next(gen)
+    except StopIteration as stop:
+        return stop.value
+    return Later(_Gen((gen,)))
 
 
 class _Gen(tuple):
-    """The thunk ``(gen,)`` of a generator's node: one step is one ``next``,
-    and the generator returns the rest, a ``Delay``; ``drop`` peels up to
-    a budget in one loop over ``next``.  A cut is recorded only when
-    ``drop`` returns, so an exception that escapes it closes the
-    generator: running the node again then raises "cannot resume", as
-    after an exception inside the generator, instead of reporting fewer
-    steps."""
+    """The thunk ``(gen,)`` of a generator's node, cut by a budgeted protocol.
+
+    ``drop(budget)`` resumes the generator with ``gen.send(budget - k)``,
+    where ``k`` is the steps taken so far in this cut.  A resume yields the
+    number of steps it took, never more than it was sent and possibly 0; a
+    bare ``yield`` counts as 1.  A resume that ends in ``return`` counts as
+    one step, so a generator that took ``j`` steps in its last resume
+    returns its rest, a ``Delay``, behind ``j - 1`` steps (``_run_node``).
+    A cut is recorded only when ``drop`` returns, so an exception that
+    escapes it closes the generator: running the node again then raises
+    "cannot resume", as after an exception inside the generator, instead
+    of reporting fewer steps."""
 
     __slots__ = ()
 
     def drop(self, budget: int) -> tuple[Delay, int]:
         gen = self[0]
+        k = 0
         try:
-            for k in count(1):
-                next(gen)
-                if k == budget:
-                    return Later(self), k
+            while k < budget:
+                j = gen.send(budget - k)
+                k += 1 if j is None else j
+            return Later(self), k
         except StopIteration as stop:
             if stop.value is None:
                 raise RuntimeError("this run was cut by an exception and cannot resume") from None
-            return stop.value, k
+            return stop.value, k + 1
         except BaseException:
             gen.close()
             raise
@@ -406,7 +424,9 @@ def race(x: Delay[B], y: Delay[B]) -> Delay[B]:
     """First of two computations to converge; ``x`` wins a tie.
 
     Converges iff either argument converges.  The left bias is entry
-    order, as in ``parallel_search``, whose caveat applies here too.
+    order, as in ``parallel_search``, whose caveat applies here too.  One
+    cut advances as many rounds as its budget allows, cutting each racer
+    in bulk, with the step count and the left bias of a round-by-round race.
     """
     return _gen(_race((x, y), None))
 
@@ -418,26 +438,55 @@ def parallel_search(f: Callable[[int], Delay[B]]) -> Delay[B]:
     emits one step per round even when every entrant is still stepping.
     The first entrant to converge wins, the earliest entered on a tie.
     Racing is the one combinator here that breaks weak bisimilarity, so
-    callers (``fix``) must only race entrants with compatible values.
+    callers (``fix``) must only race entrants with compatible values.  One
+    cut advances many rounds, keeping the step count and the left bias: it
+    calls the entrants that join during it in order, cuts each at once,
+    and calls none past the first round at which some racer converges.
     """
     return _gen(_race((), f))
 
 
 def _race(xs: Sequence[Delay[B]],
-          f: Callable[[int], Delay[B]] | None) -> Generator[None, None, Delay[B]]:
-    # One round per step over the racers ``xs`` in entry order; ``f(n)`` enters after step n + 1.
-    # The canonical never is its own tail, so it drops out without changing any step.
-    for n in count():
+          f: Callable[[int], Delay[B]] | None) -> Generator[int, int, Delay[B]]:
+    # The rounds over the racers ``xs`` in entry order; ``f(n)`` enters after round n + 1.
+    # A resume runs windows of rounds, the first of one round and each next
+    # of twice the last advance, within its budget.  A window cuts every live
+    # racer by the rounds left to it, and each entrant as it joins, and
+    # advances the race by ``m``, the fewest rounds any of them peeled: one
+    # that peeled more is cut again to ``m`` from the run ``_skip`` memoised
+    # in it, and no entrant is called past round ``m``.  So no racer reaches
+    # a value, or the canonical never, before round ``m``, and the check
+    # after the window sees what a round-by-round race would.  The canonical
+    # never is its own tail, so it drops out without changing any step.
+    n = 0
+    done = budget = 1  # the rounds of this resume; ``_gen``'s first resume is one step
+    while True:
         live = []
         for x in xs:
             if isinstance(x, Now):
-                return x
+                return _run_node(Later, done - 1, x)
             if x is not _NEVER:
                 live.append(x)
         if f is None and len(live) < 2:
-            return live[0] if live else _NEVER
-        yield
-        xs = [x.rest() for x in live] + ([f(n)] if f else [])
+            return _run_node(Later, done - 1, live[0] if live else _NEVER)
+        if done == budget:
+            budget, done, w = (yield done), 0, 1
+        m, cuts = w, []
+        for x in live:
+            rest, k = _skip(x, m)
+            cuts.append((x, 0, rest, k))
+            m = min(m, k)
+        j = 0
+        while f is not None and j < m:
+            x = f(n + j)
+            j += 1  # ``x`` joins in round ``j`` and is cut by the rounds after it
+            if x is not _NEVER:
+                rest, k = _skip(x, m - j) if j < m and not isinstance(x, Now) else (x, 0)
+                cuts.append((x, j, rest, k))
+                m = min(m, j + k)
+        xs = [rest if k == m - at else _skip(x, m - at)[0] for x, at, rest, k in cuts]
+        n, done = n + j, done + m
+        w = min(2 * m, budget - done)
 
 
 def _check_fuel(fuel: int) -> None:
@@ -451,7 +500,7 @@ def run_for(x: Delay[A], fuel: int) -> RunResult[A]:
 
     Every step costs one fuel; a run or a knot is cut at once, an
     unfold's steps in one loop over its step function, and a generator's
-    in one loop over ``next``.
+    in as many resumes as it yields before its budget is spent.
     """
     _check_fuel(fuel)
     steps = 0

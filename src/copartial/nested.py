@@ -6,15 +6,19 @@ defining equation written with ``bind`` and ``fmap``, one step per
 unfolding and one per return into a pending outer call.  ``cnest``
 flattens ``nest`` with a counter of pending applications, and
 ``cps_fix``, whose single recursion leaves only post-maps pending,
-counts those; each is a generator that yields once per step, and its
-node is cut in one loop over ``next``.
+counts those.  Each is a generator on ``delay``'s budgeted protocol:
+every resume after the first is sent the steps it may take and takes
+them all at once, yielding their count, or returns its value behind the
+steps it took less one; ``cnest`` takes them in O(1) from its closed
+form, and ``cps_fix`` in one loop of unfoldings.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Callable, Generator, Generic, TypeVar
 
-from .delay import Delay, Now, _gen, _Record, bind, fmap, later, now
+from .delay import Delay, _gen, _Record, _run_node, bind, fmap, later, now
 
 A = TypeVar("A")
 
@@ -42,20 +46,34 @@ def cnest(n: int, m: int) -> Delay[int]:
     """Compute the m-fold self-application of ``nest`` at ``n``.
 
     A generator over ``(n, m)``: the counter ``m`` holds the number of
-    pending nested applications; one step per transition.
+    pending nested applications; one step per transition.  ``n`` and ``m``
+    are integers, and ``ValueError`` is raised if either is negative.
     """
+    n, m = operator.index(n), operator.index(m)
+    if n < 0 or m < 0:
+        raise ValueError("cnest arguments must be non-negative")
     return _gen(_cnest(n, m))
 
 
-def _cnest(n: int, m: int) -> Generator[None, None, Now[int]]:
-    while m:
-        n, m = (0, m - 1) if n == 0 else (n - 1, m + 1)
-        yield
-    return now(n)
+def _cnest(n: int, m: int) -> Generator[int, int, Delay[int]]:
+    # A resume of budget b takes k = min(b, t) transitions in closed form, t
+    # being those left: 2n + m, or none once m is 0.  While n > 0 a step goes
+    # to (n - 1, m + 1), so (n, m) reaches (0, m + n) in n steps; after that
+    # each step removes one pending application.
+    budget = 1  # ``_gen``'s first resume is one step
+    while True:
+        k = min(budget, 2 * n + m if m else 0)
+        n, m = (n - k, m + k) if k <= n else (0, m + 2 * n - k)
+        if k < budget:
+            return _run_node(later, k, now(n))
+        budget = yield k
 
 
 def nest(n: int) -> Delay[int]:
-    """``nest(0) = 0; nest(n+1) = nest(nest(n))`` — constantly zero."""
+    """``nest(0) = 0; nest(n+1) = nest(nest(n))`` — constantly zero.
+
+    ``n`` is an integer, and ``ValueError`` is raised if it is negative.
+    """
     return cnest(n, 1)
 
 
@@ -88,15 +106,17 @@ def cps_fix(
 
 
 def _cps_fix(in_base: Callable[[A], bool], g: Callable[[A], A], i: Callable[[A], A],
-             h: Callable[[A], A], x: A) -> Generator[None, None, Now[A]]:
-    hs = 0
+             h: Callable[[A], A], x: A) -> Generator[int, int, Delay[A]]:
+    # A resume of budget b runs up to b unfoldings; ``k`` counts those of this resume.
+    hs, k, budget = 0, 0, 1  # ``_gen``'s first resume is one step
     while not in_base(x):
-        hs, x = hs + 1, i(x)
-        yield
+        hs, x, k = hs + 1, i(x), k + 1
+        if k == budget:
+            budget, k = (yield k), 0
     gx = g(x)
     for _ in range(hs):
         gx = h(gx)
-    return now(gx)
+    return _run_node(later, k, now(gx))
 
 
 def mccarthy91_devil_spec() -> DevilSpec[int]:

@@ -1,5 +1,7 @@
 """Delay constructors, monadic structure, pairing, race, and search."""
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -334,6 +336,47 @@ class TestRaceGenerator:
         with pytest.raises(RuntimeError, match="cannot resume"):
             run_for(d, 100)
         assert len(calls) == 1
+
+
+class TestBudgetedRaces:
+    """A cut of a race or search advances many rounds in one resume."""
+
+    def test_two_long_runs_race_at_once(self):
+        start = time.perf_counter()
+        r = run_for(race(delay_by(1, 10**12), delay_by(2, 10**12 + 1)), 10**13)
+        assert time.perf_counter() - start < 0.01
+        assert r == Converged(1, 10**12)
+
+    def test_a_racer_is_not_stepped_far_past_the_winner(self):
+        # The round-by-round race calls ``step`` 4 times: once as the unfold
+        # is built, then once per round; windows of the whole budget would
+        # call it ~10**6 times.
+        calls = []
+
+        def step(k):
+            calls.append(k)
+            return Done(k) if k == 0 else Again(k - 1)
+
+        assert run_for(race(unfold(10**6, step), delay_by(7, 3)), 10**7) == Converged(7, 3)
+        assert len(calls) <= 8
+
+    def test_a_search_whose_entrants_keep_stepping_is_cut_in_bulk(self):
+        # Every entrant ends in round 2N + 1; the earliest entered wins.
+        n = 2000
+        start = time.perf_counter()
+        r = run_for(parallel_search(lambda k: delay_by(k, 2 * n - k)), 10**6)
+        assert time.perf_counter() - start < 1
+        assert r == Converged(0, 2 * n + 1)
+
+    def test_a_cut_calls_no_entrant_past_the_winning_round(self):
+        calls = []
+
+        def f(k):
+            calls.append(k)
+            return delay_by(k, 5) if k == 3 else delay_by(k, 40)
+
+        assert run_for(parallel_search(f), 10**6) == Converged(3, 9)
+        assert calls == list(range(9))
 
 
 class TestStepAdditivity:

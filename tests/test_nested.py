@@ -7,8 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from copartial import Converged, Exhausted, bisim, run_for, strict_pair, unfold, Again, Done
-from copartial.delay import _Gen
+from copartial import (
+    Converged, Exhausted, Later, bisim, delay_by, never, now, parallel_search, race, run_for,
+    strict_pair, unfold, Again, Done,
+)
+from copartial.delay import _Gen, _gen, _run_node
 from copartial.nested import DevilSpec, cnest, cps_fix, devil, mccarthy91_devil_spec
 
 FUEL = 10_000
@@ -77,6 +80,29 @@ class TestNest:
         for n in range(5):
             for m in range(5):
                 assert bisim(cnest(n, m), oracle(n, m), FUEL).is_holds(), (n, m)
+
+
+    @pytest.mark.parametrize("args", [(5, -2), (-1, 0), (-3, 2)])
+    def test_cnest_rejects_a_negative_argument(self, args):
+        with pytest.raises(ValueError):
+            cnest(*args)
+
+    def test_nest_rejects_a_negative_argument(self):
+        from copartial.nested import nest
+
+        with pytest.raises(ValueError):
+            nest(-1)
+
+    @pytest.mark.parametrize("args", [(2.5, 1), (2, 1.0), ("2", 1)])
+    def test_cnest_rejects_a_non_integer(self, args):
+        with pytest.raises(TypeError):
+            cnest(*args)
+
+    def test_a_deep_nest_is_cut_at_once(self):
+        from copartial.nested import nest
+
+        assert run_for(nest(10**12), 10**13) == Converged(0, 2 * 10**12 + 1)
+        assert isinstance(run_for(cnest(10**12, 3), 2 * 10**12 + 2), Exhausted)
 
 
 class TestDevil:
@@ -225,8 +251,8 @@ class TestGenerators:
             (whole.value, whole.value), 2 * whole.steps)
 
     def test_an_exception_in_a_cut_closes_the_generator(self):
-        # Raised in ``_Gen.drop`` after ``next`` has returned four times and
-        # before the cut is recorded: a second run must not read the
+        # Raised in ``_Gen.drop`` after ``send`` has returned five bare steps
+        # and before the cut is recorded: a second run must not read the
         # advanced generator as the node's start.
         class Interrupt(Exception):
             pass
@@ -239,7 +265,12 @@ class TestGenerators:
         def interrupt(frame, event, arg):
             return local if frame.f_code is _Gen.drop.__code__ else None
 
-        d = cnest(20, 1)
+        def bare_steps(n):
+            for _ in range(n):
+                yield
+            return now(n)
+
+        d = _gen(bare_steps(20))
         outer = sys.gettrace()
         sys.settrace(interrupt)
         try:
@@ -249,3 +280,53 @@ class TestGenerators:
             sys.settrace(outer)
         with pytest.raises(RuntimeError, match="cannot resume"):
             run_for(d, FUEL)
+
+    @given(st.data(), st.lists(st.integers(1, 40), max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_every_generator_resumes_to_its_whole_run(self, data, budgets):
+        # cnest, cps_fix, a race and a search, cut at random budgets from a
+        # fresh node, then run again from the same node, which reads the
+        # memoised cuts back.
+        kind = data.draw(st.sampled_from(["cnest", "cps_fix", "race", "search"]))
+        if kind == "cnest":
+            n, m = data.draw(st.integers(0, 30)), data.draw(st.integers(0, 5))
+            fresh = lambda: cnest(n, m)
+        elif kind == "cps_fix":
+            # An ``i`` that adds 0 never reaches the base, so there is no whole run.
+            args = data.draw(cps_fix_args().filter(lambda a: a[2](0) > 0))
+            fresh = lambda: cps_fix(*args)
+        elif kind == "race":
+            a, b = data.draw(st.integers(0, 60)), data.draw(st.integers(0, 60))
+            fresh = lambda: race(cnest(a, 1), delay_by(-1, b))
+        else:
+            ends = data.draw(st.lists(st.integers(0, 60), min_size=1, max_size=6))
+            fresh = lambda: parallel_search(
+                lambda j: delay_by(j, ends[j]) if j < len(ends) else never())
+        whole = run_for(fresh(), FUEL)
+        assert cut_and_resume(fresh(), budgets) == (whole.value, whole.steps)
+        d = fresh()
+        for _ in range(2):
+            assert cut_and_resume(d, budgets) == (whole.value, whole.steps)
+            assert run_for(d, FUEL) == whole
+
+    @given(st.integers(1, 60), st.lists(st.integers(1, 20), max_size=8))
+    def test_a_zero_step_yield_is_cut_correctly(self, n, budgets):
+        # A resume that yields 0 took no step, and is resumed with the same budget.
+        resumes = []
+
+        def ticking(n):
+            left = n - 1
+            budget = yield
+            while True:
+                again = yield 0
+                resumes.append((budget, again))
+                if left < again:
+                    return _run_node(Later, left, now(n))
+                left -= again
+                budget = yield again
+
+        assert run_for(_gen(ticking(n)), FUEL) == Converged(n, n)
+        d = _gen(ticking(n))
+        assert cut_and_resume(d, budgets) == (n, n)
+        assert resumes and all(budget == again for budget, again in resumes)
+        assert run_for(d, FUEL) == Converged(n, n)
