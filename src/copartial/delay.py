@@ -5,8 +5,8 @@ step followed by another ``Delay``.  All combinators here are productive:
 peeling a single constructor always terminates, so a fuel-bounded runner
 can observe any ``Delay`` safely; binds nested to any depth re-associate
 as they step, so a peel costs amortised O(1) host work and stack, and a
-race O(live racers) per window of rounds, with no host nesting.  A bind
-node has the class of the step it runs, so tagged steps keep their tags.
+race round O(live racers), with no host nesting.  A bind node has the
+class of the step it runs, so tagged steps keep their tags.
 ``delay_by(v, n)`` is one node for its whole run of ``n`` steps, an
 ``unfold`` is one node over its step function, and the private ``_gen``
 makes one node over a generator, such as a race's rounds: each resume is
@@ -424,9 +424,9 @@ def race(x: Delay[B], y: Delay[B]) -> Delay[B]:
     """First of two computations to converge; ``x`` wins a tie.
 
     Converges iff either argument converges.  The left bias is entry
-    order, as in ``parallel_search``, whose caveat applies here too.  One
-    cut advances as many rounds as its budget allows, cutting each racer
-    in bulk, with the step count and the left bias of a round-by-round race.
+    order, as in ``parallel_search``, whose caveat applies here too.  A
+    cut runs its rounds one per resume, so a racer is stepped no further
+    than the round that some racer converges in.
     """
     return _gen(_race((x, y), None))
 
@@ -438,55 +438,29 @@ def parallel_search(f: Callable[[int], Delay[B]]) -> Delay[B]:
     emits one step per round even when every entrant is still stepping.
     The first entrant to converge wins, the earliest entered on a tie.
     Racing is the one combinator here that breaks weak bisimilarity, so
-    callers (``fix``) must only race entrants with compatible values.  One
-    cut advances many rounds, keeping the step count and the left bias: it
-    calls the entrants that join during it in order, cuts each at once,
-    and calls none past the first round at which some racer converges.
+    callers (``fix``) must only race entrants with compatible values.  A
+    cut runs its rounds one per resume, and calls no entrant past the
+    first round at which some racer converges.
     """
     return _gen(_race((), f))
 
 
 def _race(xs: Sequence[Delay[B]],
-          f: Callable[[int], Delay[B]] | None) -> Generator[int, int, Delay[B]]:
-    # The rounds over the racers ``xs`` in entry order; ``f(n)`` enters after round n + 1.
-    # A resume runs windows of rounds, the first of one round and each next
-    # of twice the last advance, within its budget.  A window cuts every live
-    # racer by the rounds left to it, and each entrant as it joins, and
-    # advances the race by ``m``, the fewest rounds any of them peeled: one
-    # that peeled more is cut again to ``m`` from the run ``_skip`` memoised
-    # in it, and no entrant is called past round ``m``.  So no racer reaches
-    # a value, or the canonical never, before round ``m``, and the check
-    # after the window sees what a round-by-round race would.  The canonical
-    # never is its own tail, so it drops out without changing any step.
-    n = 0
-    done = budget = 1  # the rounds of this resume; ``_gen``'s first resume is one step
-    while True:
+          f: Callable[[int], Delay[B]] | None) -> Generator[None, int, Delay[B]]:
+    # One round per step over the racers ``xs`` in entry order; ``f(n)`` enters after step n + 1.
+    # Each resume runs one round and ignores the budget it is sent: a bare ``yield`` is one step.
+    # The canonical never is its own tail, so it drops out without changing any step.
+    for n in count():
         live = []
         for x in xs:
             if isinstance(x, Now):
-                return _run_node(Later, done - 1, x)
+                return x
             if x is not _NEVER:
                 live.append(x)
         if f is None and len(live) < 2:
-            return _run_node(Later, done - 1, live[0] if live else _NEVER)
-        if done == budget:
-            budget, done, w = (yield done), 0, 1
-        m, cuts = w, []
-        for x in live:
-            rest, k = _skip(x, m)
-            cuts.append((x, 0, rest, k))
-            m = min(m, k)
-        j = 0
-        while f is not None and j < m:
-            x = f(n + j)
-            j += 1  # ``x`` joins in round ``j`` and is cut by the rounds after it
-            if x is not _NEVER:
-                rest, k = _skip(x, m - j) if j < m and not isinstance(x, Now) else (x, 0)
-                cuts.append((x, j, rest, k))
-                m = min(m, j + k)
-        xs = [rest if k == m - at else _skip(x, m - at)[0] for x, at, rest, k in cuts]
-        n, done = n + j, done + m
-        w = min(2 * m, budget - done)
+            return live[0] if live else _NEVER
+        yield
+        xs = [x.rest() for x in live] + ([f(n)] if f else [])
 
 
 def _check_fuel(fuel: int) -> None:
