@@ -7,21 +7,21 @@ can observe any ``Delay`` safely; binds nested to any depth re-associate
 as they step, so a peel costs amortised O(1) host work and stack, and a
 race round O(live racers), with no host nesting.  A bind node has the
 class of the step it runs, so tagged steps keep their tags.
-``delay_by(v, n)`` is one node for its whole run of ``n`` steps, an
-``unfold`` is one node over its step function, and the private ``_gen``
-makes one node over a generator, such as a race's rounds: each resume is
+``delay_by(v, n)`` is one node for its whole run of ``n`` steps, and
+the private ``_gen`` makes one node over a generator: each resume is
 sent the steps it may take and yields the steps it took (a bare
 ``yield`` is one), and the generator returns its rest, a ``Delay``.
-``rest()`` peels one step, and the peel loops cut a run, an unfold, a
+Every stepped machine is such a node (an ``unfold``, a race, ``nested``'s
+``cps_fix`` and ``cnest``), and an exception that escapes a cut closes
+it for good.  ``rest()`` peels one step, and the peel loops cut a run, a
 generator or a knot (a node that is its own tail, such as ``never()``),
 bare or at the head of binds, in one go while charging one fuel per
 step.  One function, ``_skip``, runs every node's thunk and memoises
 each cut in the node it cut, so a thunk runs once per step however often
-its node is run.  The constructors ``now``/``later`` are the classes
-``Now``/``Later``; an ``unfold`` step finishes with ``Done``, which is
-``Now``.  A run's result, ``Converged`` or ``Exhausted``, is a record: a
-slotted value class over ``_Record``, the one base of every record in
-the package.
+its node is run.  ``now``/``later`` are the classes ``Now``/``Later``;
+an ``unfold`` step finishes with ``Done``, which is ``Now``.  A run's
+result, ``Converged`` or ``Exhausted``, is a record: a slotted value
+class over ``_Record``, the one base of every record in the package.
 """
 
 from __future__ import annotations
@@ -81,12 +81,12 @@ class Now(Delay[A]):
 class Later(Delay[A]):
     """One computation step; ``rest()`` forces the next stage, once.
 
-    The thunk is a closure, or one of the tagged tuples ``_Run``,
-    ``_Unfold``, ``_Gen`` and ``_Bind``, and ``_skip`` is the one code
-    that runs it.  Two conditions keep a forced chain from holding more
-    than its live state.  The thunk is dropped once run (a cut of more than one step
-    leaves a run in its place), so a node no longer reaches what its step
-    closure captured.  And a step closure must never reach its own
+    The thunk is a closure, or one of the tagged tuples ``_Run``, ``_Gen``
+    and ``_Bind``, and ``_skip`` is the one code that runs it.  Two
+    conditions keep a forced chain from holding more than its live state.
+    The thunk is dropped once run (a cut of more than one step leaves a
+    run in its place), so a node no longer reaches what its step closure
+    captured.  And a step closure must never reach its own
     function (no nested function that calls itself): such a function and
     its closure cell form a cycle that keeps a computation's whole state
     alive until the cycle collector runs.
@@ -197,12 +197,18 @@ def delay_by(value: A, steps: int) -> Delay[A]:
     return _run_node(Later, steps, Now(value))
 
 
-def _run_node(cls: type, n: int, tail: Delay[A],
-              negative: str = "steps must be non-negative") -> Delay[A]:
-    # ``n`` steps of class ``cls`` before ``tail``: one node, or ``tail`` itself if ``n`` is 0.
+def _natural(n: int, negative: str) -> int:
+    # A count: ``n`` as an ``int``, ``TypeError`` unless an integer, ``ValueError`` if negative.
     n = operator.index(n)
     if n < 0:
         raise ValueError(negative)
+    return n
+
+
+def _run_node(cls: type, n: int, tail: Delay[A],
+              negative: str = "steps must be non-negative") -> Delay[A]:
+    # ``n`` steps of class ``cls`` before ``tail``: one node, or ``tail`` itself if ``n`` is 0.
+    n = _natural(n, negative)
     return cls(_Run((cls, n, tail))) if n else tail
 
 
@@ -225,37 +231,31 @@ def unfold(seed: S, step: Callable[[S], Union[Again[S], Done[B]]]) -> Delay[B]:
 
     ``step`` plays the role of a coalgebra: ``Done(b)``, which is ``Now(b)``, is
     the result; ``Again(s)`` emits a step and continues from ``s``.  The
-    first ``step`` is taken now, and the node after it is one node whose
-    steps the peel loops take in one loop.  Each ``step`` is called once
-    per step, however often a node is run, so it may advance ``s`` in
-    place: ``reccode`` steps a generator this way.
+    first ``step`` is taken now, and the node after it is a generator's
+    node, cut by as many calls of ``step`` as each budget allows.  Each
+    ``step`` is called once per step, however often a node is run, so it
+    may advance ``s`` in place, as ``reccode`` does with a generator.
     """
-    return _Unfold((step, seed)).drop(1)[0]
+    return _gen(_unfold(step, seed))
 
 
-class _Unfold(tuple):
-    """The thunk ``(step, s)`` of an ``unfold`` node: one step, then
-    ``unfold(s, step)``; ``drop`` peels up to a budget in one loop over
-    ``step``."""
-
-    __slots__ = ()
-
-    def drop(self, budget: int) -> tuple[Delay, int]:
-        step, s = self
-        for k in count(1):
-            r = step(s)
-            if isinstance(r, Done):
-                return r, k
-            s = r.state
-            if k == budget:
-                return Later(_Unfold((step, s))), k
+def _unfold(step: Callable[[S], Union[Again[S], Done[B]]], s: S) -> Generator[int, int, Delay[B]]:
+    # A resume of budget b calls ``step`` up to b times; ``k`` counts the ``Again``s of this resume.
+    k, budget = 0, 1  # ``_gen``'s first resume is one step
+    while True:
+        r = step(s)
+        if isinstance(r, Done):
+            return _run_node(Later, k, r)
+        s, k = r.state, k + 1
+        if k == budget:
+            budget, k = (yield k), 0
 
 
 def _gen(gen: Generator[int | None, int, Delay[A]]) -> Delay[A]:
     """The steps of a generator, then the rest it returns, as one node.
 
     A fresh generator is run to its first ``yield`` with ``next``, and that
-    yield is one step, taken now, as an ``unfold``'s first step is; if the
+    yield is one step, taken now (an ``unfold``'s first step); if the
     generator returns instead, its rest is the node.  Every later resume
     is a ``send`` of a step budget, as ``_Gen`` says.
     """
@@ -276,9 +276,8 @@ class _Gen(tuple):
     one step, so a generator that took ``j`` steps in its last resume
     returns its rest, a ``Delay``, behind ``j - 1`` steps (``_run_node``).
     A cut is recorded only when ``drop`` returns, so an exception that
-    escapes it closes the generator: running the node again then raises
-    "cannot resume", as after an exception inside the generator, instead
-    of reporting fewer steps."""
+    escapes it, wherever raised, closes the generator: running the node
+    again then raises "cannot resume" instead of reporting fewer steps."""
 
     __slots__ = ()
 
@@ -300,7 +299,7 @@ class _Gen(tuple):
 
 
 # The thunks whose node ``_skip`` cuts in one ``drop``.
-_BULK = (_Run, _Unfold, _Gen)
+_BULK = (_Run, _Gen)
 
 
 def fmap(f: Callable[[A], B], x: Delay[A]) -> Delay[B]:
@@ -352,15 +351,15 @@ def _resume(x: Delay, ks: Any) -> Delay:
 def _skip(x: Later, budget: int) -> tuple[Delay, int]:
     """Peel ``k`` of at most ``budget`` >= 1 steps off ``x``; return the rest and ``k``.
 
-    The one code that runs a thunk.  A run, an unfold or a generator is
-    cut in one ``drop``, and a knot, such as ``never()``, is a run without
-    end; each, bare or at the head of binds, is cut at once, and every
-    step cut has ``x``'s class.  A closure thunk peels one step.  The one memo rule: a
+    The one code that runs a thunk.  A run or a generator is cut in one
+    ``drop``, and a knot, such as ``never()``, is a run without end; each,
+    bare or at the head of binds, is cut at once, and every step cut has
+    ``x``'s class.  A closure thunk peels one step.  The one memo rule: a
     cut of one step is memoised as ``x``'s forced tail, and a cut of ``k``
-    > 1 as a run of ``k`` steps before the rest (a run is that already).
-    A bind's head is cut through ``_skip`` too, unless it is a run, which
-    is pure and O(1).  So a thunk runs once per step, however often its
-    node is run.
+    > 1 as a run of ``k`` steps before the rest; an exception memoises
+    nothing.  A bind's head is cut through ``_skip`` too, unless it is a
+    run, which is pure and O(1).  So a thunk runs once per step, however
+    often its node is run.
     """
     t = x._thunk
     if type(t) in _BULK:
@@ -464,17 +463,16 @@ def _race(xs: Sequence[Delay[B]],
 
 
 def _check_fuel(fuel: int) -> None:
-    # Fuel is a step count: ``TypeError`` unless an integer, ``ValueError`` if negative.
-    if operator.index(fuel) < 0:
-        raise ValueError("fuel must be non-negative")
+    # Fuel is a step count.
+    _natural(fuel, "fuel must be non-negative")
 
 
 def run_for(x: Delay[A], fuel: int) -> RunResult[A]:
     """Peel at most ``fuel`` steps; report the value or the remainder.
 
-    Every step costs one fuel; a run or a knot is cut at once, an
-    unfold's steps in one loop over its step function, and a generator's
-    in as many resumes as it yields before its budget is spent.
+    Every step costs one fuel; a run or a knot is cut at once, and a
+    generator, such as an unfold, in as many resumes as it takes to
+    spend its budget.
     """
     _check_fuel(fuel)
     steps = 0

@@ -8,12 +8,12 @@ reported with a counterexample.
 
 from __future__ import annotations
 
-import operator
 import random
 from typing import Callable, Optional, Sequence
 
 from .delay import (
-    Converged, Delay, _check_fuel, _Record, bind, delay_by, fmap, never, now, run_for, strength,
+    Converged, Delay, _check_fuel, _natural, _Record, bind, delay_by, fmap, never, now, run_for,
+    strength,
 )
 from .semantics import FAILS, HOLDS, Verdict, bisim, unknown
 
@@ -150,8 +150,7 @@ def _check(names: Sequence[str], sides: Sides, samples: int, fuel: int,
            seed: int) -> dict[str, LawResult]:
     # Draw ``samples`` inputs from one seeded generator and judge every law on
     # each: a law fails on any refuted sample, holds once one holds, else is unknown.
-    if operator.index(samples) < 0:
-        raise ValueError("samples must be non-negative")
+    _natural(samples, "samples must be non-negative")
     _check_fuel(fuel)
     rng = random.Random(seed)
     results = [LawResult(name) for name in names]

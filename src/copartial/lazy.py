@@ -17,7 +17,7 @@ import sys
 from typing import Tuple
 
 from .delay import (
-    Delay, Later, Now, _check_fuel, _run_node, _skip, bind, delay_by, later, never, now,
+    Delay, Later, Now, _check_fuel, _natural, _run_node, _skip, bind, delay_by, later, never, now,
 )
 from .semantics import FAILS, HOLDS, Verdict, unknown
 
@@ -141,10 +141,12 @@ def lazy_le(x: LazyNat, y: LazyNat, fuel: int) -> Verdict:
 _F: list[LazyNat] = [ZERO]
 _G: list[LazyNat] = [ZERO]
 
+_NEGATIVE = "sloth arguments must be non-negative"
 
-def _grow(n: int) -> None:
-    if n < 0:
-        raise ValueError("lazy naturals are non-negative")
+
+def _grow(n: int) -> int:
+    # Check ``n``, build the levels up to it and return it.
+    n = _natural(n, _NEGATIVE)
     # Iterative so that large levels, reached when a deep observation
     # crosses into a tower's tail, do not nest host stack frames.  Each
     # deferred tail binds its own level (a default argument), not the
@@ -167,18 +169,17 @@ def _grow(n: int) -> None:
             _G.append(bind(lambda _, v=v: sloth_g(v), lazy_of(m)))
         else:
             _G.append(ZERO)
+    return n
 
 
 def sloth_f(n: int) -> LazyNat:
     """Lazy evaluation of the first sloth function at a plain natural."""
-    _grow(n)
-    return _F[n]
+    return _F[_grow(n)]
 
 
 def sloth_g(n: int) -> LazyNat:
     """Lazy evaluation of the second sloth function at a plain natural."""
-    _grow(n)
-    return _G[n]
+    return _G[_grow(n)]
 
 
 # Strict transcription over Delay[int]: a step per call and per return.
@@ -186,6 +187,7 @@ def sloth_g(n: int) -> LazyNat:
 
 def sloth_strict_f(n: int) -> Delay[int]:
     """Strict sloth f; diverges wherever full evaluation does."""
+    n = _natural(n, _NEGATIVE)
     # f 0 = 0;  f (succ m) = f (g m) + g m
     return later(lambda: now(0) if n == 0 else bind(
         lambda v: _returned_plus(sloth_strict_f(v), v), sloth_strict_g(n - 1)))
@@ -194,6 +196,7 @@ def sloth_strict_f(n: int) -> Delay[int]:
 def sloth_strict_g(n: int) -> Delay[int]:
     """Strict sloth g; diverges at 14 where the lazy version answers."""
     # g 0 = 0;  g (succ m) = g (f m) + m  if f m <= m,  else 0
+    n = _natural(n, _NEGATIVE)
     m = n - 1
     return later(lambda: now(0) if n == 0 else bind(
         lambda v: _returned_plus(sloth_strict_g(v), m) if v <= m else delay_by(0, 1),

@@ -15,10 +15,9 @@ form, and ``cps_fix`` in one loop of unfoldings.
 
 from __future__ import annotations
 
-import operator
 from typing import Callable, Generator, Generic, TypeVar
 
-from .delay import Delay, _gen, _Record, _run_node, bind, fmap, later, now
+from .delay import Delay, _gen, _natural, _Record, _run_node, bind, fmap, later, now
 
 A = TypeVar("A")
 
@@ -49,9 +48,8 @@ def cnest(n: int, m: int) -> Delay[int]:
     pending nested applications; one step per transition.  ``n`` and ``m``
     are integers, and ``ValueError`` is raised if either is negative.
     """
-    n, m = operator.index(n), operator.index(m)
-    if n < 0 or m < 0:
-        raise ValueError("cnest arguments must be non-negative")
+    negative = "cnest arguments must be non-negative"
+    n, m = _natural(n, negative), _natural(m, negative)
     return _gen(_cnest(n, m))
 
 

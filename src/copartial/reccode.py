@@ -9,15 +9,16 @@ once, to one generated Python generator: straight-line code with a
 ``for`` loop per recursion and a ``while`` loop per minimization that
 yields once per failed probe.  A generator is the delay monad's shape
 written directly: each ``yield`` is one step and its ``return`` the
-value, so every code is an ``unfold`` whose step resumes its generator,
-and a code without minimization returns at its first resumption.  The
-source holds only integers that the arity check validated and generated
-names.  ``arity``, ``print_code`` and the compiler are one walk on an
-explicit stack, so they take a code of any depth.  ``parse_code`` reads
-a text in one loop, also on an explicit stack, and checks each node's
-arities as it closes the node.  ``oracle_eval`` is an independent
-budgeted big-step evaluator over plain integers, to check it; it
-recurses, which is why ``parse_code`` bounds the nesting of a text.
+value, so every code is an ``unfold``, one generator node of ``delay``,
+whose step resumes the code's generator; a code without minimization
+returns at its first resumption.  The source holds only integers that
+the arity check validated and generated names.  ``arity``,
+``print_code`` and the compiler are one walk on an explicit stack, so
+they take a code of any depth.  ``parse_code`` reads a text in one loop,
+also on an explicit stack, and checks each node's arities as it closes
+the node.  ``oracle_eval`` is an independent budgeted big-step evaluator
+over plain integers, to check it; it recurses, which is why
+``parse_code`` bounds the nesting of a text.
 
 Concrete syntax (whitespace-insensitive)::
 
@@ -211,8 +212,8 @@ def evaluate(code: RecCode, args: Sequence[Delay[int]]) -> Delay[int]:
     straight-line code with a ``for`` loop per ``R`` and a ``while`` loop
     per ``M`` that yields once per failed probe, run as an ``unfold``
     whose step is ``_next``: a code without ``M`` returns at its first
-    step, inside ``unfold``, and a run cuts the failed probes of one with
-    ``M`` in one loop, while the unfold's memo makes each probe run once.
+    step, inside ``unfold``.  A cut takes failed probes in one resume,
+    memoised so that each runs once; an exception in a cut closes the node.
     """
     emitter = _Emitter()
     n, (chunks, atom, _) = _walk(code, emitter.combine)
@@ -233,13 +234,11 @@ def evaluate(code: RecCode, args: Sequence[Delay[int]]) -> Delay[int]:
 
 def _next(gen) -> Again | Now:
     # One step of a generated generator: to its next ``yield``, or to its
-    # ``return``, an int.  An exception raised in ``gen`` (an interrupt, say)
-    # closes it, and a stop without a value says the step cannot be taken.
+    # ``return``, an int.  An exception escaping it closes the unfold that
+    # calls it, so it is never called on a finished generator.
     try:
         next(gen)
     except StopIteration as stop:
-        if stop.value is None:
-            raise RuntimeError("this run was cut by an exception and cannot resume") from None
         return Now(stop.value)
     return Again(gen)
 

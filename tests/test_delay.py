@@ -311,29 +311,36 @@ class TestParallelSearch:
 
 
 class TestRaceGenerator:
-    """A race's rounds are one generator, cut in bulk by ``_Gen``."""
+    """A race's rounds, like an unfold's steps, are one generator, cut in bulk by ``_Gen``."""
 
-    @pytest.mark.parametrize("search", [True, False], ids=["entrant", "racer"])
-    def test_an_exception_in_a_cut_closes_the_race(self, search):
-        # Raised in round 4 of a 100-step cut, by the entrant f(3) or by
-        # the second racer's step: a second run must raise "cannot
-        # resume" and must not call the raising code again.
-        calls = []
+    @pytest.mark.parametrize("kind", ["entrant", "racer", "unfold"])
+    def test_an_exception_in_a_cut_closes_the_race(self, kind):
+        # Raised in round 4 of a 100-step cut, by the entrant f(3), by the
+        # second racer's step or by an unfold's fourth call of its step: a
+        # second run must raise "cannot resume" and must not call the
+        # raising code, or the unfold's step, again.
+        calls, stepped = [], []
 
         def boom(n):
             calls.append(n)
             raise KeyError(n)
 
-        if search:
+        def step(k):
+            stepped.append(k)
+            return boom(k) if len(stepped) == 4 else Done(k) if k == 10 else Again(k + 1)
+
+        if kind == "entrant":
             d = parallel_search(lambda n: boom(n) if n == 3 else never())
-        else:
+        elif kind == "racer":
             d = race(delay_by(1, 10), bind(boom, delay_by(0, 4)))
+        else:
+            d = unfold(0, step)
         with pytest.raises(KeyError):
             run_for(d, 100)
-        assert calls == ([3] if search else [0])
+        assert calls == ([0] if kind == "racer" else [3])
         with pytest.raises(RuntimeError, match="cannot resume"):
             run_for(d, 100)
-        assert len(calls) == 1
+        assert len(calls) == 1 and len(stepped) == (4 if kind == "unfold" else 0)
 
 
 class TestRaceCuts:

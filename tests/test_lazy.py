@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from copartial import Converged, Exhausted, run_for
+from copartial import Converged, Exhausted, lazy, run_for
 from copartial.lazy import (
+    ZERO,
     Ended,
     lazy_le,
     lazy_of,
@@ -159,11 +160,22 @@ class TestSloth:
         assert ended is Ended.EXHAUSTED
         assert count >= 13
 
-    def test_negative_rejected(self):
+    def test_negative_rejected(self, monkeypatch):
         with pytest.raises(ValueError):
             sloth_f(-1)
         with pytest.raises(ValueError):
             sloth_g(-2)
+        # Every sloth function checks its argument before it builds any node
+        # or level: the strict pair used to step until fuel ran out, and
+        # ``sloth_f(2.5)`` built levels 1-3 before an index raised.
+        monkeypatch.setattr(lazy, "_F", [ZERO])
+        monkeypatch.setattr(lazy, "_G", [ZERO])
+        for sloth in (sloth_f, sloth_g, sloth_strict_f, sloth_strict_g):
+            with pytest.raises(ValueError):
+                sloth(-1)
+            with pytest.raises(TypeError):
+                sloth(2.5)
+        assert len(lazy._F) == len(lazy._G) == 1
 
 
 class TestSlothStrict:
