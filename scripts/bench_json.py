@@ -24,7 +24,9 @@ and the ratio NEW / OLD of the medians beside the metric's bound in
 ``BENCHMARK.json`` (``peak_rss_mb``'s for ``rss_mb_at_ops``), and exits 1
 if any ratio is worse than its bound; a metric only one side has is
 printed with ``-`` for the other.  With one file per side the medians are
-the two runs' own figures.
+the two runs' own figures.  With ``MIN_PAIRS`` or more files per side, the
+i-th old and i-th new file are a pair, and a last column says how many of
+the pairs that have the metric the new side won (a tie is no win).
 """
 
 from __future__ import annotations
@@ -44,6 +46,10 @@ BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 SEED = 4242
 RSS_WORKLOADS = ("interp", "recursion", "semidecide")
 RSS_OPS = 2560
+# A new side that is no better wins each pair with odds 1/2, so it wins all
+# of n pairs with odds 2**-n: from 5 pairs on that is under 5%, so fewer
+# pairs cannot show a gain and their win count is not printed.
+MIN_PAIRS = 5
 # Runs ops ``[0, n)`` of a workload, wrapping around as the benchmark's
 # loop does, and prints the process's peak RSS in MB.  Its paths are
 # relative to the tree it runs in.
@@ -105,20 +111,28 @@ def _fresh_run(args: list[str]) -> subprocess.CompletedProcess:
         return subprocess.run([sys.executable, *args], cwd=tree, capture_output=True, text=True)
 
 
-def medians(paths: list[str]) -> dict:
-    """Each metric's median value over the saved runs ``paths`` that have it."""
+def metrics(path: str) -> dict:
+    """The metric values of the saved run ``path``, by name."""
+    return {key: m["value"] for key, m in json.loads(Path(path).read_text())["metrics"].items()}
+
+
+def medians(runs: list[dict]) -> dict:
+    """Each metric's median value over the ``runs`` that have it."""
     values: dict = {}
-    for path in paths:
-        for key, metric in json.loads(Path(path).read_text())["metrics"].items():
-            values.setdefault(key, []).append(metric["value"])
+    for run in runs:
+        for key, value in run.items():
+            values.setdefault(key, []).append(value)
     return {key: statistics.median(vs) for key, vs in values.items()}
 
 
 def compare(old_paths: list[str], new_paths: list[str]) -> int:
     bounds = {m["name"]: m for m in BENCHMARK["end_to_end"]}
-    old, new = medians(old_paths), medians(new_paths)
+    old_runs, new_runs = [metrics(p) for p in old_paths], [metrics(p) for p in new_paths]
+    old, new = medians(old_runs), medians(new_runs)
+    paired = len(old_runs) >= MIN_PAIRS
     worse = 0
-    print(f"{'metric':<28}{'old':>12}{'new':>12}{'ratio':>8}{'bound':>8}")
+    print(f"{'metric':<28}{'old':>12}{'new':>12}{'ratio':>8}{'bound':>8}"
+          + (f"{'wins':>8}" if paired else ""))
     for key in sorted(old.keys() | new.keys()):
         name = key.rpartition(".")[2]
         spec = bounds.get("peak_rss_mb" if name == "rss_mb_at_ops" else name)
@@ -135,7 +149,12 @@ def compare(old_paths: list[str], new_paths: list[str]) -> int:
         limit = 1 + sign * spec["bound"]
         bad = sign * (ratio - limit) > 0
         worse += bad
-        print(f"{key:<28}{a:>12.5g}{b:>12.5g}{ratio:>8.3f}{limit:>8.2f}" + ("  WORSE" if bad else ""))
+        row = f"{key:<28}{a:>12.5g}{b:>12.5g}{ratio:>8.3f}{limit:>8.2f}"
+        if paired:
+            pairs = [(o[key], n[key]) for o, n in zip(old_runs, new_runs) if key in o and key in n]
+            won = sum(sign * (n - o) < 0 for o, n in pairs)
+            row += f"{f'{won}/{len(pairs)}':>8}"
+        print(row + ("  WORSE" if bad else ""))
     return 1 if worse else 0
 
 

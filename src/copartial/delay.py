@@ -13,15 +13,24 @@ sent the steps it may take and yields the steps it took (a bare
 ``yield`` is one), and the generator returns its rest, a ``Delay``.
 Every stepped machine is such a node (an ``unfold``, a race, ``nested``'s
 ``cps_fix`` and ``cnest``), and an exception that escapes a cut closes
-it for good.  ``rest()`` peels one step, and the peel loops cut a run, a
-generator or a knot (a node that is its own tail, such as ``never()``),
-bare or at the head of binds, in one go while charging one fuel per
-step.  One function, ``_skip``, runs every node's thunk and memoises
-each cut in the node it cut, so a thunk runs once per step however often
-its node is run.  ``now``/``later`` are the classes ``Now``/``Later``;
-an ``unfold`` step finishes with ``Done``, which is ``Now``.  A run's
-result, ``Converged`` or ``Exhausted``, is a record: a slotted value
-class over ``_Record``, the one base of every record in the package.
+it for good.  One loop, ``_skip``, steps every node: it runs each thunk
+and peels past its node through the consecutive nodes of the first
+node's class, whatever their thunk (a bind, a closure, a forced tail,
+a run or a generator), until its budget is spent or the class changes.
+It cuts a run, a generator or a knot (a node that is its own tail, such
+as ``never()``) in one go, so the peel loops (``run_for``, and
+``lazy``'s ``observe`` and ``lazy_le``) loop only where the class
+changes, while charging one fuel per step; ``rest()`` peels one step.
+Each node the loop passes is memoised as it is passed, and the node it
+started from when the cut ends, so a thunk runs once per step however
+often its node is run, and a caller that keeps the first node keeps no
+chain of the nodes passed.  A ``bind``, ``fmap``, ``strict_tuple`` or
+``run_for`` of a non-``Delay``, or a continuation that returns one,
+raises ``TypeError``.  ``now``/``later`` are the classes
+``Now``/``Later``; an ``unfold`` step finishes with ``Done``, which is
+``Now``.  A run's result, ``Converged`` or ``Exhausted``, is a record: a
+slotted value class over ``_Record``, the one base of every record in
+the package.
 """
 
 from __future__ import annotations
@@ -82,11 +91,14 @@ class Later(Delay[A]):
     """One computation step; ``rest()`` forces the next stage, once.
 
     The thunk is a closure, or one of the tagged tuples ``_Run``, ``_Gen``
-    and ``_Bind``, and ``_skip`` is the one code that runs it.  Two
-    conditions keep a forced chain from holding more than its live state.
-    The thunk is dropped once run (a cut of more than one step leaves a
-    run in its place), so a node no longer reaches what its step closure
-    captured.  And a step closure must never reach its own
+    and ``_Bind``, and ``_skip``, the one stepping loop, is the one code
+    that runs it.  Every step of one cut has the class of the node cut, so
+    a subclass (``lazy``'s successor) tags its steps.  Two conditions keep
+    a forced chain from holding more than its live state.  The thunk is
+    dropped once run (a cut of more than one step leaves a run in its
+    place, and a cut that passes other nodes leaves only the run, not the
+    nodes), so a node no longer reaches what its step closure captured,
+    nor the nodes a cut passed.  And a step closure must never reach its own
     function (no nested function that calls itself): such a function and
     its closure cell form a cycle that keeps a computation's whole state
     alive until the cycle collector runs.
@@ -194,6 +206,8 @@ def never() -> Delay[Any]:
 
 def delay_by(value: A, steps: int) -> Delay[A]:
     """``value`` behind exactly ``steps`` computation steps, as one node."""
+    if type(steps) is int and steps > 0:
+        return Later(_Run((Later, steps, Now(value))))
     return _run_node(Later, steps, Now(value))
 
 
@@ -214,16 +228,10 @@ def _run_node(cls: type, n: int, tail: Delay[A],
 
 class _Run(tuple):
     """The thunk ``(cls, n, tail)`` of a node of class ``cls`` that stands for
-    ``n`` >= 1 steps of that class before ``tail``; ``drop`` peels up to a
-    budget at once, in O(1)."""
+    ``n`` >= 1 steps of that class before ``tail``; ``_skip`` peels up to a
+    budget of them at once, in O(1)."""
 
     __slots__ = ()
-
-    def drop(self, budget: int) -> tuple[Delay, int]:
-        cls, n, tail = self
-        if n <= budget:
-            return tail, n
-        return cls(_Run((cls, n - budget, tail))), budget
 
 
 def unfold(seed: S, step: Callable[[S], Union[Again[S], Done[B]]]) -> Delay[B]:
@@ -298,10 +306,6 @@ class _Gen(tuple):
             raise
 
 
-# The thunks whose node ``_skip`` cuts in one ``drop``.
-_BULK = (_Run, _Gen)
-
-
 def fmap(f: Callable[[A], B], x: Delay[A]) -> Delay[B]:
     """Apply a pure function under the steps; step count is preserved."""
     # Not left to ``bind``: ``fix`` maps over many never iterates, and this skips a closure.
@@ -319,7 +323,11 @@ def bind(f: Callable[[A], Delay[B]], x: Delay[A]) -> Delay[B]:
     re-associate when they are stepped, so each step costs amortised O(1)
     host work and stack, however deeply the binds nest on either side.
     A bind node keeps the class of the head whose step it runs.
+    ``TypeError`` if ``x``, or a value ``f`` returns, is not a ``Delay``;
+    the latter is raised at the step where ``f`` is called.
     """
+    if isinstance(x, Later):
+        return x if x is _NEVER else type(x)(_Bind((x, f)))
     return _resume(x, f)
 
 
@@ -343,46 +351,97 @@ def _resume(x: Delay, ks: Any) -> Delay:
             k, then = k
             ks = then if ks is None else (then, ks)
         x = k(x.value)
-    if x is _NEVER or ks is None:
-        return x
-    return type(x)(_Bind((x, ks)))
+    if not isinstance(x, Later):
+        raise _not_delay(x)
+    return x if x is _NEVER or ks is None else type(x)(_Bind((x, ks)))
+
+
+def _not_delay(x: Any) -> TypeError:
+    return TypeError(f"expected a Delay, got {type(x).__name__}")
 
 
 def _skip(x: Later, budget: int) -> tuple[Delay, int]:
     """Peel ``k`` of at most ``budget`` >= 1 steps off ``x``; return the rest and ``k``.
 
-    The one code that runs a thunk.  A run or a generator is cut in one
-    ``drop``, and a knot, such as ``never()``, is a run without end; each,
-    bare or at the head of binds, is cut at once, and every step cut has
-    ``x``'s class.  A closure thunk peels one step.  The one memo rule: a
-    cut of one step is memoised as ``x``'s forced tail, and a cut of ``k``
-    > 1 as a run of ``k`` steps before the rest; an exception memoises
-    nothing.  A bind's head is cut through ``_skip`` too, unless it is a
-    run, which is pure and O(1).  So a thunk runs once per step, however
-    often its node is run.
+    The package's one stepping loop, and the one code that runs a thunk.
+    It peels ``x``, then each node it reaches, whatever its thunk, while
+    that node has ``x``'s class, so every step of one cut has ``x``'s
+    class.  It stops when it has spent ``budget``, or reaches a value, a
+    node of another class or ``x`` itself.  A run or a generator is cut
+    in one go, and a knot, such as ``never()``, is a run without end that
+    takes the rest of the budget at once; a closure or a forced tail is
+    one step.  A bind node opens its left spine, cuts the head there as
+    one node (so a head that steps into further binds adds no host
+    frame) and feeds the rest to its continuations.
+
+    The memo rules make a thunk run once per step, however often its
+    node is run.  A node cut on its own by ``j`` steps is memoised as its
+    forced tail if ``j`` is 1, else as a run of ``j`` steps before the
+    rest; a forced node, or a run cut by more than one step, keeps what
+    it is.  Each node after ``x`` gets that memo as the loop passes it,
+    and so does a bind's head, unless it is a run, which is pure.  ``x``
+    is memoised only when the cut ends, by the same rule over all ``k``
+    steps: while the loop runs it points at no node it passed, so they
+    are freed as it goes, and a shorter re-cut of ``x`` reads a prefix of
+    this one.  The node whose thunk raises an exception memoises nothing;
+    ``x`` is memoised as a run of the steps already taken before the
+    exception propagates, so a re-run calls no earlier thunk again.
     """
-    t = x._thunk
-    if type(t) in _BULK:
-        rest, k = t.drop(budget)
-    elif t is None:
-        rest = x._forced
-        return rest, budget if rest is x else 1
-    elif type(t) is _Bind:
-        head, ks = t
-        # Open unforced bind nodes, not force them: a left chain is walked once, not per step.
-        while type(head._thunk) is _Bind:
-            head, inner = head._thunk
-            ks = (inner, ks)
-        h = head._thunk
-        rest, k = h.drop(budget) if type(h) is _Run else _skip(head, budget)
-        rest = _resume(rest, ks)
-    else:
-        rest, k = t(), 1
-    if k == 1:
-        x._forced, x._thunk = rest, None
-    elif type(t) is not _Run:
-        x._thunk = _Run((type(x), k, rest))
+    cls, y, k = type(x), x, 0
+    try:
+        while True:
+            node, t, ks = y, y._thunk, None
+            if type(t) is _Bind:
+                # Open unforced bind nodes, not force them: a left chain is walked once.
+                node, ks = t
+                t = node._thunk
+                while type(t) is _Bind:
+                    node, inner = t
+                    ks, t = (inner, ks), node._thunk
+            if t is None:
+                rest = node._forced
+                j = budget - k if rest is node else 1
+            elif type(t) is _Run:
+                c, n, rest = t
+                j = budget - k
+                if n > j:
+                    rest = c(_Run((c, n - j, rest)))
+                else:
+                    j = n
+            elif type(t) is _Gen:
+                rest, j = t.drop(budget - k)
+            else:
+                rest, j = t(), 1
+            if ks is not None:
+                if t is not None and type(t) is not _Run:
+                    _memo(node, j, rest)
+                rest = _resume(rest, ks)
+            k += j
+            # A forced node, or a run cut by more than one step, keeps what it is.
+            changed = ks is not None or t is not None and (j == 1 or type(t) is not _Run)
+            if changed and y is not x:
+                if j == 1:  # ``_memo``'s one-step case, inlined: every bind and closure step takes it
+                    y._forced, y._thunk = rest, None
+                else:
+                    _memo(y, j, rest)
+            if k == budget or type(rest) is not cls or rest is x:
+                break
+            y = rest
+    except BaseException:
+        if y is not x:
+            _memo(x, k, y)
+        raise
+    if changed or y is not x:
+        _memo(x, k, rest)
     return rest, k
+
+
+def _memo(node: Later, k: int, rest: Delay) -> None:
+    # A cut of ``k`` steps: one is the forced tail, more a run before ``rest``.
+    if k == 1:
+        node._forced, node._thunk = rest, None
+    else:
+        node._thunk, node._forced = _Run((type(node), k, rest)), None
 
 
 def strength(a: A, y: Delay[B]) -> Delay[tuple[A, B]]:
@@ -400,9 +459,14 @@ def strict_pair(x: Delay[A], y: Delay[B]) -> Delay[tuple[A, B]]:
 
 
 def strict_tuple(xs: Sequence[Delay[A]]) -> Delay[tuple[A, ...]]:
-    """n-ary ``strict_pair``; the empty tuple converges immediately."""
+    """n-ary ``strict_pair``; the empty tuple converges immediately.
+
+    ``TypeError`` if a component is not a ``Delay``.
+    """
     acc: Delay[tuple] = Now(())
     for x in xs:
+        if not isinstance(x, Delay):
+            raise _not_delay(x)
         acc = bind(lambda t, x=x: fmap(lambda v: t + (v,), x), acc)
     return acc
 
@@ -470,11 +534,16 @@ def _check_fuel(fuel: int) -> None:
 def run_for(x: Delay[A], fuel: int) -> RunResult[A]:
     """Peel at most ``fuel`` steps; report the value or the remainder.
 
-    Every step costs one fuel; a run or a knot is cut at once, and a
-    generator, such as an unfold, in as many resumes as it takes to
-    spend its budget.
+    Every step costs one fuel.  Each ``_skip`` takes the rest of the fuel
+    through every consecutive node of one class: a run or a knot at once,
+    a generator, such as an unfold, in as many resumes as it takes, and
+    binds and closures one step each, without coming back here.  So this
+    loop turns only where a step's class changes.  ``TypeError`` if ``x``
+    is not a ``Delay``.
     """
     _check_fuel(fuel)
+    if not isinstance(x, Delay):
+        raise _not_delay(x)
     steps = 0
     while True:
         if isinstance(x, Now):

@@ -87,6 +87,32 @@ def test_compare_takes_the_median_of_each_sides_runs(tmp_path):
     assert lines[1].split() == ["interp.ops_per_s", "1000", "700", "0.700", "0.75", "WORSE"]
 
 
+def test_compare_counts_the_pairs_the_new_side_won(tmp_path):
+    # From MIN_PAIRS runs a side on, the i-th old and new runs are a pair.  A
+    # higher ops_per_s and a lower p50 win, a tie is no win, and a pair that
+    # lacks a metric is not counted for it.
+    assert bench_json.MIN_PAIRS == 5
+    ops = ((100, 110), (100, 90), (100, 100), (100, 120), (100, 130))
+    p50 = ((2.0, None), (2.0, 1.5), (2.0, 3.0), (2.0, 1.0), (2.0, 2.5))
+    old, new = [], []
+    for i, ((o, n), (po, pn)) in enumerate(zip(ops, p50)):
+        old.append(saved(tmp_path, f"old{i}.json",
+                         {"interp.ops_per_s": o, "interp.verdict_p50_ms": po}))
+        new.append(saved(tmp_path, f"new{i}.json", {"interp.ops_per_s": n} if pn is None
+                         else {"interp.ops_per_s": n, "interp.verdict_p50_ms": pn}))
+    code, lines = compare(*old, *new)
+    assert code == 0
+    assert [line.split() for line in lines] == [
+        ["metric", "old", "new", "ratio", "bound", "wins"],
+        ["interp.ops_per_s", "100", "110", "1.100", "0.75", "3/5"],
+        ["interp.verdict_p50_ms", "2", "2", "1.000", "1.25", "2/4"],
+    ]
+    # Four runs a side are too few for a count.
+    code, lines = compare(*old[:4], *new[:4])
+    assert lines[0].split() == ["metric", "old", "new", "ratio", "bound"]
+    assert all(len(line.split()) == 5 for line in lines[1:])
+
+
 def test_compare_refuses_an_odd_number_of_runs(tmp_path):
     run = saved(tmp_path, "run.json", {"cli.ops_per_s": 10})
     proc = subprocess.run([sys.executable, str(SCRIPT), "--compare", run, run, run],

@@ -24,7 +24,8 @@ from copartial import (
     strict_tuple,
     unfold,
 )
-from copartial.lazy import lazy_le, lazy_of, observe
+from copartial.delay import _skip
+from copartial.lazy import Ended, lazy_le, lazy_of, lazy_plus, observe, step, succ
 from copartial.reccode import CORPUS, oracle_eval
 from tests.conftest import finite_delays
 
@@ -205,6 +206,112 @@ class TestMonad:
         x = bind(lambda v: calls.append(v) or now(v), head())
         assert run_for(x, 10) == run_for(x, 10) == Converged(0, steps)
         assert calls == [0]
+
+
+class TestNotADelay:
+    @pytest.mark.parametrize(
+        "call, got",
+        [(lambda: bind(now, "abc"), "str"),
+         (lambda: bind(now, [1]), "list"),
+         (lambda: bind(now, 3), "int"),
+         (lambda: fmap(str, (1, 2)), "tuple"),
+         (lambda: strict_tuple(["x"]), "str"),
+         (lambda: strict_tuple([delay_by(0, 1), "x"]), "str"),
+         (lambda: run_for(5, 10), "int")],
+        ids=["bind-str", "bind-list", "bind-int", "fmap", "strict_tuple", "strict_tuple-second",
+             "run_for"],
+    )
+    def test_a_non_delay_argument_is_refused(self, call, got):
+        with pytest.raises(TypeError, match=f"expected a Delay, got {got}$"):
+            call()
+
+    @pytest.mark.parametrize("steps", [1, 3])
+    def test_a_continuation_that_returns_a_non_delay_raises_at_its_step(self, steps):
+        # Behind no step, ``bind`` runs the continuation at once.
+        with pytest.raises(TypeError, match="expected a Delay, got list$"):
+            bind(lambda v: [v], now(0))
+        x = bind(lambda v: [v], delay_by(0, steps))
+        assert isinstance(run_for(x, steps - 1), Exhausted)
+        with pytest.raises(TypeError, match="expected a Delay, got list$"):
+            run_for(x, steps)
+
+
+class Calls:
+    """Counts the calls of each continuation by key."""
+
+    def __init__(self):
+        self.by_key = {}
+
+    def tick(self, key):
+        self.by_key[key] = self.by_key.get(key, 0) + 1
+
+
+class Interrupt(Exception):
+    pass
+
+
+def counted_loop(n, calls, raise_at=None, k=0):
+    """``n`` after ``n`` steps, as ``delay_by(k, 1) >>= (lambda _: loop(k + 1))``;
+    continuation ``k`` is counted in ``calls``, and the first call of
+    continuation ``raise_at`` raises ``Interrupt``."""
+
+    def cont(_):
+        calls.tick(k)
+        if k == raise_at and calls.by_key[k] == 1:
+            raise Interrupt
+        return counted_loop(n, calls, raise_at, k + 1)
+
+    return now(n) if k == n else bind(cont, delay_by(k, 1))
+
+
+def tagged_chain(tags, i=0):
+    """One closure step per tag, a successor where the tag is true."""
+    if i == len(tags):
+        return now(None)
+    return (succ if tags[i] else step)(lambda: tagged_chain(tags, i + 1))
+
+
+def tagged_runs(tags):
+    """The same steps as ``tagged_chain``, as runs of each class joined by binds."""
+    x = now(None)
+    i = len(tags)
+    while i:
+        j = i
+        while j and tags[j - 1] == tags[i - 1]:
+            j -= 1
+        run = lazy_of(i - j) if tags[i - 1] else delay_by(None, i - j)
+        x = lazy_plus(x, run)
+        i = j
+    return x
+
+
+class TestOneCut:
+    """``_skip`` cuts consecutive nodes of its node's class in one loop."""
+
+    def test_a_cut_spans_bind_nodes_and_a_shorter_recut_reads_a_prefix(self):
+        calls = Calls()
+        x = counted_loop(10, calls)
+        rest, k = _skip(x, 7)
+        assert k == 7 and calls.by_key == {i: 1 for i in range(7)}
+        assert run_for(rest, 100) == Converged(10, 3)
+        middle, k = _skip(x, 3)
+        assert k == 3 and run_for(middle, 100) == Converged(10, 7)
+        assert calls.by_key == {i: 1 for i in range(10)}
+
+    def test_an_exception_mid_cut_keeps_the_steps_before_it(self):
+        calls = Calls()
+        x = counted_loop(10, calls, raise_at=4)
+        with pytest.raises(Interrupt):
+            run_for(x, 100)
+        assert calls.by_key == {0: 1, 1: 1, 2: 1, 3: 1, 4: 1}
+        assert run_for(x, 100) == run_for(x, 100) == Converged(10, 10)
+        assert calls.by_key == {i: 1 for i in range(10)} | {4: 2}
+
+    @given(st.lists(st.booleans(), max_size=30), st.integers(0, 40),
+           st.sampled_from([tagged_chain, tagged_runs]))
+    def test_observe_counts_only_the_successor_steps_of_a_cut(self, tags, fuel, build):
+        ended = Ended.ZERO if fuel >= len(tags) else Ended.EXHAUSTED
+        assert observe(build(tags), fuel) == (sum(tags[:fuel]), ended)
 
 
 class TestPairing:

@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from copartial import (
-    Converged, Exhausted, Later, bisim, delay_by, never, now, parallel_search, race, run_for,
-    strict_pair, unfold, Again, Done,
+    Converged, Exhausted, Later, bind, bisim, delay_by, later, never, now, parallel_search, race,
+    run_for, strict_pair, unfold, Again, Done,
 )
+from copartial.lazy import succ
 from copartial.delay import _Gen, _gen, _run_node
 from copartial.nested import DevilSpec, cnest, cps_fix, devil, mccarthy91_devil_spec
 
@@ -217,6 +218,69 @@ def cut_and_resume(d, budgets):
         d, spent = r.rest, spent + budget
     r = run_for(d, FUEL)
     return r.value, spent + r.steps
+
+
+def counted(calls, key, f):
+    """``f``, counting its calls in ``calls[key]``."""
+
+    def g(*args):
+        calls[key] = calls.get(key, 0) + 1
+        return f(*args)
+
+    return g
+
+
+def right_loop(steps, calls, i=0):
+    """``len(steps)`` after ``sum(steps)`` steps: ``delay_by(i, steps[i])``
+    bound to the loop from ``i + 1``; continuation ``i`` is counted."""
+    if i == len(steps):
+        return now(i)
+    return bind(counted(calls, i, lambda _: right_loop(steps, calls, i + 1)), delay_by(i, steps[i]))
+
+
+def left_loop(steps, calls):
+    """``len(steps) - 1`` after ``sum(steps)`` steps, as binds nested to the
+    left; continuation ``i`` adds 1 behind ``steps[i]`` steps."""
+    x = delay_by(0, steps[0])
+    for i in range(1, len(steps)):
+        x = bind(counted(calls, i, lambda v, n=steps[i]: delay_by(v + 1, n)), x)
+    return x
+
+
+def later_chain(steps, calls, i=0):
+    """``len(steps)`` after ``len(steps)`` closure steps, a plain step where
+    ``steps[i]`` is even and a successor where it is odd; closure ``i`` is counted."""
+    if i == len(steps):
+        return now(i)
+    return (later if steps[i] % 2 == 0 else succ)(
+        counted(calls, i, lambda: later_chain(steps, calls, i + 1)))
+
+
+class TestBindLoops:
+    """Binds nested to either side and closure chains, cut at random budgets."""
+
+    @given(st.sampled_from(["right", "left", "later"]),
+           st.lists(st.integers(0, 3), min_size=1, max_size=30),
+           st.lists(st.integers(1, 40), max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_cuts_resumes_and_reruns_run_each_continuation_once(self, shape, steps, budgets):
+        build = {"right": right_loop, "left": left_loop, "later": later_chain}[shape]
+        keys = range(1, len(steps)) if shape == "left" else range(len(steps))
+        once = {i: 1 for i in keys}
+        calls = {}
+        whole = run_for(build(steps, calls), FUEL)
+        assert calls == once
+        value = len(steps) - (shape == "left")
+        assert whole == Converged(value, len(steps) if shape == "later" else sum(steps))
+        calls = {}
+        assert cut_and_resume(build(steps, calls), budgets) == (whole.value, whole.steps)
+        assert calls == once
+        calls = {}
+        d = build(steps, calls)
+        for _ in range(2):
+            assert cut_and_resume(d, budgets) == (whole.value, whole.steps)
+            assert run_for(d, FUEL) == whole
+        assert calls == once
 
 
 class TestGenerators:

@@ -40,6 +40,24 @@ def right_loop(n):
     return now(7) if n == 0 else bind(lambda _: right_loop(n - 1), delay_by(n, 1))
 
 
+class Ticks:
+    """A call counter that allocates nothing per call it counts."""
+
+    __slots__ = ("n",)
+
+    def __init__(self):
+        self.n = 0
+
+    def tick(self):
+        self.n += 1
+
+
+def counted_right_loop(n, ticks):
+    """``right_loop(n)``, with each continuation's call counted in ``ticks``."""
+    return now(7) if n == 0 else bind(
+        lambda _: ticks.tick() or counted_right_loop(n - 1, ticks), delay_by(n, 1))
+
+
 def stepping_search(n):
     """A search whose entrants below ``n`` are all still stepping when ``n`` wins."""
     return parallel_search(lambda k: delay_by(k, 10**6) if k < n else now(k))
@@ -179,6 +197,22 @@ class TestLongRuns:
             tracemalloc.stop()
         assert peak < 2**13
         assert run_for(head, 10**6) == answer
+
+    def test_a_right_bind_loop_whose_head_is_kept_retains_no_chain(self):
+        # One cut runs the whole loop and memoises the head as one run, so the
+        # bind nodes it passed are freed as it goes.
+        ticks = Ticks()
+        head = counted_right_loop(10**5, ticks)
+        tracemalloc.start()
+        try:
+            assert run_for(head, 10**6) == Converged(7, 10**5)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained < 2**16
+        assert ticks.n == 10**5
+        assert run_for(head, 10**6) == Converged(7, 10**5)
+        assert ticks.n == 10**5
 
     @pytest.mark.parametrize(
         "judge, verdict",
