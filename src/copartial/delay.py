@@ -206,8 +206,6 @@ def never() -> Delay[Any]:
 
 def delay_by(value: A, steps: int) -> Delay[A]:
     """``value`` behind exactly ``steps`` computation steps, as one node."""
-    if type(steps) is int and steps > 0:
-        return Later(_Run((Later, steps, Now(value))))
     return _run_node(Later, steps, Now(value))
 
 
@@ -326,8 +324,6 @@ def bind(f: Callable[[A], Delay[B]], x: Delay[A]) -> Delay[B]:
     ``TypeError`` if ``x``, or a value ``f`` returns, is not a ``Delay``;
     the latter is raised at the step where ``f`` is called.
     """
-    if isinstance(x, Later):
-        return x if x is _NEVER else type(x)(_Bind((x, f)))
     return _resume(x, f)
 
 
@@ -395,9 +391,12 @@ def _skip(x: Later, budget: int) -> tuple[Delay, int]:
                 # Open unforced bind nodes, not force them: a left chain is walked once.
                 node, ks = t
                 t = node._thunk
-                while type(t) is _Bind:
+                while type(t) is _Bind and node is not x:
                     node, inner = t
                     ks, t = (inner, ks), node._thunk
+                if node is x:  # ``x`` is not memoised yet: end the cut before ``y``
+                    rest = y
+                    break
             if t is None:
                 rest = node._forced
                 j = budget - k if rest is node else 1
@@ -416,14 +415,13 @@ def _skip(x: Later, budget: int) -> tuple[Delay, int]:
                 if t is not None and type(t) is not _Run:
                     _memo(node, j, rest)
                 rest = _resume(rest, ks)
+            elif type(rest) is not cls and not isinstance(rest, Delay):
+                raise _not_delay(rest)  # from a closure
             k += j
             # A forced node, or a run cut by more than one step, keeps what it is.
             changed = ks is not None or t is not None and (j == 1 or type(t) is not _Run)
             if changed and y is not x:
-                if j == 1:  # ``_memo``'s one-step case, inlined: every bind and closure step takes it
-                    y._forced, y._thunk = rest, None
-                else:
-                    _memo(y, j, rest)
+                _memo(y, j, rest)
             if k == budget or type(rest) is not cls or rest is x:
                 break
             y = rest
@@ -431,7 +429,7 @@ def _skip(x: Later, budget: int) -> tuple[Delay, int]:
         if y is not x:
             _memo(x, k, y)
         raise
-    if changed or y is not x:
+    if y is not x or changed:
         _memo(x, k, rest)
     return rest, k
 

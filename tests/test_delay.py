@@ -235,6 +235,16 @@ class TestNotADelay:
         with pytest.raises(TypeError, match="expected a Delay, got list$"):
             run_for(x, steps)
 
+    @pytest.mark.parametrize("make", [later, succ], ids=["later", "succ"])
+    def test_a_closure_that_returns_a_non_delay_raises_at_its_step_each_run(self, make):
+        x = make(lambda: make(lambda: 5))
+        assert isinstance(run_for(x, 1), Exhausted)
+        for _ in range(2):
+            with pytest.raises(TypeError, match="expected a Delay, got int$"):
+                run_for(x, 10)
+        with pytest.raises(TypeError, match="expected a Delay, got int$"):
+            observe(x, 10)
+
 
 class Calls:
     """Counts the calls of each continuation by key."""
@@ -306,6 +316,32 @@ class TestOneCut:
         assert calls.by_key == {0: 1, 1: 1, 2: 1, 3: 1, 4: 1}
         assert run_for(x, 100) == run_for(x, 100) == Converged(10, 10)
         assert calls.by_key == {i: 1 for i in range(10)} | {4: 2}
+
+    def test_a_cut_that_meets_its_first_node_in_a_bind_runs_it_once(self):
+        # The first node is memoised only when the cut ends, so the cut ends
+        # before a node whose bind spine reaches it.
+        calls = Calls()
+
+        def closure():
+            calls.tick("closure")
+            return bind(lambda v: calls.tick("cont") or now(v), x)
+
+        x = later(closure)
+        assert isinstance(run_for(x, 10), Exhausted)
+        assert calls.by_key == {"closure": 1}
+        assert isinstance(run_for(x, 10), Exhausted)
+        assert calls.by_key == {"closure": 1}
+
+    def test_a_cut_that_meets_its_first_bind_node_deeper_in_a_spine_runs_it_once(self):
+        calls = Calls()
+
+        def cont(v):
+            calls.tick("cont")
+            return bind(now, bind(now, x))
+
+        x = bind(cont, delay_by(0, 1))
+        assert isinstance(run_for(x, 10), Exhausted)
+        assert calls.by_key == {"cont": 1}
 
     @given(st.lists(st.booleans(), max_size=30), st.integers(0, 40),
            st.sampled_from([tagged_chain, tagged_runs]))
