@@ -23,10 +23,10 @@ as ``never()``) in one go, so the peel loops (``run_for``, and
 changes, while charging one fuel per step; ``rest()`` peels one step.
 Each node the loop passes is memoised as it is passed, and the node it
 started from when the cut ends, so a thunk runs once per step however
-often its node is run, and a caller that keeps the first node keeps no
-chain of the nodes passed.  A ``bind``, ``fmap``, ``strict_tuple`` or
-``run_for`` of a non-``Delay``, or a continuation that returns one,
-raises ``TypeError``.  ``now``/``later`` are the classes
+often its node is run after its cut, and a caller that keeps the first
+node keeps no chain of the nodes passed.  A ``bind``, ``fmap``,
+``strict_tuple`` or ``run_for`` of a non-``Delay``, or a continuation
+or closure that returns one, raises ``TypeError``.  ``now``/``later`` are the classes
 ``Now``/``Later``; an ``unfold`` step finishes with ``Done``, which is
 ``Now``.  A run's result, ``Converged`` or ``Exhausted``, is a record: a
 slotted value class over ``_Record``, the one base of every record in
@@ -363,7 +363,8 @@ def _skip(x: Later, budget: int) -> tuple[Delay, int]:
     It peels ``x``, then each node it reaches, whatever its thunk, while
     that node has ``x``'s class, so every step of one cut has ``x``'s
     class.  It stops when it has spent ``budget``, or reaches a value, a
-    node of another class or ``x`` itself.  A run or a generator is cut
+    node of another class, ``x`` itself or a bind whose left spine holds
+    ``x``, which it leaves for the next cut.  A run or a generator is cut
     in one go, and a knot, such as ``never()``, is a run without end that
     takes the rest of the budget at once; a closure or a forced tail is
     one step.  A bind node opens its left spine, cuts the head there as
@@ -379,9 +380,12 @@ def _skip(x: Later, budget: int) -> tuple[Delay, int]:
     is memoised only when the cut ends, by the same rule over all ``k``
     steps: while the loop runs it points at no node it passed, so they
     are freed as it goes, and a shorter re-cut of ``x`` reads a prefix of
-    this one.  The node whose thunk raises an exception memoises nothing;
-    ``x`` is memoised as a run of the steps already taken before the
-    exception propagates, so a re-run calls no earlier thunk again.
+    this one; but a thunk that runs ``x`` again during the cut (a
+    re-entrant ``run_for`` or ``observe``) runs it from its start.  The
+    node whose thunk raises an exception, or a closure that returns a
+    non-``Delay`` (``TypeError``), memoises nothing; ``x`` is memoised as a
+    run of the steps already taken before the exception propagates, so a
+    re-run calls no earlier thunk again.
     """
     cls, y, k = type(x), x, 0
     try:
