@@ -206,6 +206,9 @@ def never() -> Delay[Any]:
 
 def delay_by(value: A, steps: int) -> Delay[A]:
     """``value`` behind exactly ``steps`` computation steps, as one node."""
+    # A positive ``int`` skips ``_run_node``'s check: each step of a bind loop over ``delay_by`` builds one.
+    if type(steps) is int and steps > 0:
+        return Later(_Run((Later, steps, Now(value))))
     return _run_node(Later, steps, Now(value))
 
 
@@ -322,23 +325,13 @@ def bind(f: Callable[[A], Delay[B]], x: Delay[A]) -> Delay[B]:
     host work and stack, however deeply the binds nest on either side.
     A bind node keeps the class of the head whose step it runs.
     ``TypeError`` if ``x``, or a value ``f`` returns, is not a ``Delay``;
-    the latter is raised at the step where ``f`` is called.
+    the latter is raised at the step where ``f`` is called.  ``f`` may
+    also be a tree of continuations, as ``_Bind`` says: ``_skip`` feeds a
+    bind's head, once it is a value, to its tree this way.
     """
-    return _resume(x, f)
-
-
-class _Bind(tuple):
-    """The thunk ``(x, ks)`` of a node made by ``bind``, of ``x``'s class:
-    one step of ``x``, then the continuations ``ks``.  ``ks`` is a
-    continuation or a pair of such trees, whose leaves apply left to right;
-    so a nested bind's continuations are put in front of ``ks`` in O(1)."""
-
-    __slots__ = ()
-
-
-def _resume(x: Delay, ks: Any) -> Delay:
-    # Feed ``x``, once it is a value, to the continuation tree ``ks``, or
-    # bind the tree onto ``x``'s next step.
+    # Feed ``x``, while it is a value, to the tree's leftmost continuation,
+    # then bind what is left of the tree onto ``x``'s next step.
+    ks = f
     while isinstance(x, Now):
         if ks is None:
             return x
@@ -350,6 +343,15 @@ def _resume(x: Delay, ks: Any) -> Delay:
     if not isinstance(x, Later):
         raise _not_delay(x)
     return x if x is _NEVER or ks is None else type(x)(_Bind((x, ks)))
+
+
+class _Bind(tuple):
+    """The thunk ``(x, ks)`` of a node made by ``bind``, of ``x``'s class:
+    one step of ``x``, then the continuations ``ks``.  ``ks`` is a
+    continuation or a pair of such trees, whose leaves apply left to right;
+    so a nested bind's continuations are put in front of ``ks`` in O(1)."""
+
+    __slots__ = ()
 
 
 def _not_delay(x: Any) -> TypeError:
@@ -418,14 +420,17 @@ def _skip(x: Later, budget: int) -> tuple[Delay, int]:
             if ks is not None:
                 if t is not None and type(t) is not _Run:
                     _memo(node, j, rest)
-                rest = _resume(rest, ks)
+                rest = bind(ks, rest)
             elif type(rest) is not cls and not isinstance(rest, Delay):
                 raise _not_delay(rest)  # from a closure
             k += j
             # A forced node, or a run cut by more than one step, keeps what it is.
             changed = ks is not None or t is not None and (j == 1 or type(t) is not _Run)
             if changed and y is not x:
-                _memo(y, j, rest)
+                if j == 1:  # ``_memo``'s one-step case, inlined: every bind and closure step takes it
+                    y._forced, y._thunk = rest, None
+                else:
+                    _memo(y, j, rest)
             if k == budget or type(rest) is not cls or rest is x:
                 break
             y = rest
