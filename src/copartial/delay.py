@@ -13,30 +13,30 @@ sent the steps it may take and yields the steps it took (a bare
 ``yield`` is one), and the generator returns its rest, a ``Delay``.
 Every stepped machine is such a node (an ``unfold``, a race, ``nested``'s
 ``cps_fix`` and ``cnest``), and an exception that escapes a cut closes
-it for good.  One loop, ``_skip``, steps every node: it runs each thunk
-and peels past its node through the consecutive nodes of the first
-node's class, whatever their thunk (a bind, a closure, a forced tail,
-a run or a generator), until its budget is spent or the class changes.
-It cuts a run, a generator or a knot (a node that is its own tail, such
-as ``never()``) in one go, so the peel loops (``run_for``, and
-``lazy``'s ``observe`` and ``lazy_le``) loop only where the class
-changes, while charging one fuel per step; ``rest()`` peels one step.
-Each node the loop passes is memoised as it is passed, and the node it
-started from when the cut ends, so a thunk runs once per step however
-often its node is run after its cut, and a caller that keeps the first
-node keeps no chain of the nodes passed.  A ``bind``, ``fmap``,
-``strict_tuple`` or ``run_for`` of a non-``Delay``, or a continuation
-or closure that returns one, raises ``TypeError``.  ``now``/``later`` are the classes
-``Now``/``Later``; an ``unfold`` step finishes with ``Done``, which is
+it for good.  A ``Later`` is one memo cell: it holds its step's code
+until its cut, and then the rest or a run before it.  One loop,
+``_skip``, steps every node: it runs each cell's code and peels past
+its node through the consecutive nodes of the first node's class until
+its budget is spent or the class changes, cutting a run, a generator or
+a knot (a cell that holds its own node, such as ``never()``) in one go.
+So the peel loops (``run_for``, and ``lazy``'s ``observe`` and
+``lazy_le``) loop only where the class changes, while charging one fuel
+per step; ``rest()`` peels one step.  Each cell the loop passes is
+updated as it is passed, and the first node's when the cut ends, so a
+thunk runs once per step however often its node is run after its cut,
+and a caller that keeps the first node keeps no chain of the nodes
+passed.  A non-``Delay`` where a ``Delay`` is due, or an ``unfold`` step
+that is neither ``Again`` nor ``Done``, raises ``TypeError``.
+``now``/``later`` are the classes ``Now``/``Later``, and ``Done`` is
 ``Now``.  A run's result, ``Converged`` or ``Exhausted``, is a record: a
-slotted value class over ``_Record``, the one base of every record in
-the package.
+slotted value class over ``_Record``, the one base of every record.
 """
 
 from __future__ import annotations
 
 import operator
 from itertools import count
+from types import GeneratorType
 from typing import Any, Callable, Generator, Generic, Sequence, TypeVar, Union
 
 A = TypeVar("A")
@@ -90,34 +90,34 @@ class Now(Delay[A]):
 class Later(Delay[A]):
     """One computation step; ``rest()`` forces the next stage, once.
 
-    The thunk is a closure, or one of the tagged tuples ``_Run``, ``_Gen``
-    and ``_Bind``, and ``_skip``, the one stepping loop, is the one code
-    that runs it.  Every step of one cut has the class of the node cut, so
-    a subclass (``lazy``'s successor) tags its steps.  Two conditions keep
-    a forced chain from holding more than its live state.  The thunk is
-    dropped once run (a cut of more than one step leaves a run in its
-    place, and a cut that passes other nodes leaves only the run, not the
-    nodes), so a node no longer reaches what its step closure captured,
-    nor the nodes a cut passed.  And a step closure must never reach its own
-    function (no nested function that calls itself): such a function and
-    its closure cell form a cycle that keeps a computation's whole state
-    alive until the cycle collector runs.
+    The node is one memo cell, ``_thunk``, and ``_skip``, the one stepping
+    loop, runs what it holds.  Before the cut it holds the code for the
+    rest: a closure, a generator primed by ``_gen``, a ``_Run`` or a
+    ``_Bind``.  After it, it holds the rest (so ``Later(d)`` for a ``Delay``
+    ``d`` is forced to ``d``, and a knot holds itself) or a ``_Run`` of the
+    steps taken before the rest.  Every step of one cut has the class of
+    the node cut, so a subclass (``lazy``'s successor) tags its steps.  A
+    forced chain holds no more than its live state: the cut overwrites
+    the code, so a node reaches neither what its closure captured nor the
+    nodes the cut passed; and a step closure must never reach its own
+    function (no nested function that calls itself): the function and its
+    closure cell would form a cycle that keeps the computation's whole
+    state alive until the cycle collector runs.
     """
 
-    __slots__ = ("_thunk", "_forced")
+    __slots__ = ("_thunk",)
 
-    def __init__(self, thunk: Callable[[], Delay[A]] | tuple | None):
+    def __init__(self, thunk: Callable[[], Delay[A]] | Delay[A] | tuple | Generator):
         self._thunk = thunk
-        self._forced = None
 
     def rest(self) -> Delay[A]:
-        return self._forced if self._thunk is None else _skip(self, 1)[0]
+        return t if isinstance(t := self._thunk, Delay) else _skip(self, 1)[0]
 
     @classmethod
     def knot(cls):
         """A forced node whose value is the node itself."""
         node = cls(None)
-        node._forced = node
+        node._thunk = node
         return node
 
     def __repr__(self) -> str:
@@ -208,7 +208,7 @@ def delay_by(value: A, steps: int) -> Delay[A]:
     """``value`` behind exactly ``steps`` computation steps, as one node."""
     # A positive ``int`` skips ``_run_node``'s check: each step of a bind loop over ``delay_by`` builds one.
     if type(steps) is int and steps > 0:
-        return Later(_Run((Later, steps, Now(value))))
+        return Later(_Run((steps, Now(value))))
     return _run_node(Later, steps, Now(value))
 
 
@@ -224,13 +224,13 @@ def _run_node(cls: type, n: int, tail: Delay[A],
               negative: str = "steps must be non-negative") -> Delay[A]:
     # ``n`` steps of class ``cls`` before ``tail``: one node, or ``tail`` itself if ``n`` is 0.
     n = _natural(n, negative)
-    return cls(_Run((cls, n, tail))) if n else tail
+    return cls(_Run((n, tail))) if n else tail
 
 
 class _Run(tuple):
-    """The thunk ``(cls, n, tail)`` of a node of class ``cls`` that stands for
-    ``n`` >= 1 steps of that class before ``tail``; ``_skip`` peels up to a
-    budget of them at once, in O(1)."""
+    """The cell ``(n, tail)`` of a node that stands for ``n`` >= 1 steps of
+    the node's class before ``tail``; ``_skip`` peels up to a budget of
+    them at once, in O(1)."""
 
     __slots__ = ()
 
@@ -253,8 +253,10 @@ def _unfold(step: Callable[[S], Union[Again[S], Done[B]]], s: S) -> Generator[in
     k, budget = 0, 1  # ``_gen``'s first resume is one step
     while True:
         r = step(s)
-        if isinstance(r, Done):
-            return _run_node(Later, k, r)
+        if not isinstance(r, Again):
+            if isinstance(r, Done):
+                return _run_node(Later, k, r)
+            raise _not_delay(r, "Again or Done")
         s, k = r.state, k + 1
         if k == budget:
             budget, k = (yield k), 0
@@ -266,45 +268,40 @@ def _gen(gen: Generator[int | None, int, Delay[A]]) -> Delay[A]:
     A fresh generator is run to its first ``yield`` with ``next``, and that
     yield is one step, taken now (an ``unfold``'s first step); if the
     generator returns instead, its rest is the node.  Every later resume
-    is a ``send`` of a step budget, as ``_Gen`` says.
+    is a ``send`` of a step budget, as ``_drop`` says.
     """
     try:
         next(gen)
     except StopIteration as stop:
         return stop.value
-    return Later(_Gen((gen,)))
+    return Later(gen)
 
 
-class _Gen(tuple):
-    """The thunk ``(gen,)`` of a generator's node, cut by a budgeted protocol.
+def _drop(gen: Generator[int | None, int, Delay[A]], budget: int) -> tuple[Delay[A], int]:
+    """Cut up to ``budget`` steps off the node whose cell holds ``gen``.
 
-    ``drop(budget)`` resumes the generator with ``gen.send(budget - k)``,
-    where ``k`` is the steps taken so far in this cut.  A resume yields the
-    number of steps it took, never more than it was sent and possibly 0; a
-    bare ``yield`` counts as 1.  A resume that ends in ``return`` counts as
-    one step, so a generator that took ``j`` steps in its last resume
-    returns its rest, a ``Delay``, behind ``j - 1`` steps (``_run_node``).
-    A cut is recorded only when ``drop`` returns, so an exception that
-    escapes it, wherever raised, closes the generator: running the node
-    again then raises "cannot resume" instead of reporting fewer steps."""
-
-    __slots__ = ()
-
-    def drop(self, budget: int) -> tuple[Delay, int]:
-        gen = self[0]
-        k = 0
-        try:
-            while k < budget:
-                j = gen.send(budget - k)
-                k += 1 if j is None else j
-            return Later(self), k
-        except StopIteration as stop:
-            if stop.value is None:
-                raise RuntimeError("this run was cut by an exception and cannot resume") from None
-            return stop.value, k + 1
-        except BaseException:
-            gen.close()
-            raise
+    Resumes ``gen`` with ``gen.send(budget - k)``, where ``k`` is the steps
+    taken so far in this cut.  A resume yields the number of steps it
+    took, never more than it was sent and possibly 0; a bare ``yield``
+    counts as 1.  A resume that ends in ``return`` counts as one step, so
+    a generator that took ``j`` steps in its last resume returns its rest,
+    a ``Delay``, behind ``j - 1`` steps (``_run_node``).  A cut is
+    recorded only when this returns, so an exception that escapes it,
+    wherever raised, closes the generator: running the node again then
+    raises "cannot resume" instead of reporting fewer steps."""
+    k = 0
+    try:
+        while k < budget:
+            j = gen.send(budget - k)
+            k += 1 if j is None else j
+        return Later(gen), k
+    except StopIteration as stop:
+        if stop.value is None:
+            raise RuntimeError("this run was cut by an exception and cannot resume") from None
+        return stop.value, k + 1
+    except BaseException:
+        gen.close()
+        raise
 
 
 def fmap(f: Callable[[A], B], x: Delay[A]) -> Delay[B]:
@@ -354,40 +351,46 @@ class _Bind(tuple):
     __slots__ = ()
 
 
-def _not_delay(x: Any) -> TypeError:
-    return TypeError(f"expected a Delay, got {type(x).__name__}")
+def _not_delay(x: Any, expected: str = "a Delay") -> TypeError:
+    return TypeError(f"expected {expected}, got {type(x).__name__}")
+
+
+def _delay(x: Any) -> Delay:
+    if isinstance(x, Delay):
+        return x
+    raise _not_delay(x)
 
 
 def _skip(x: Later, budget: int) -> tuple[Delay, int]:
     """Peel ``k`` of at most ``budget`` >= 1 steps off ``x``; return the rest and ``k``.
 
-    The package's one stepping loop, and the one code that runs a thunk.
-    It peels ``x``, then each node it reaches, whatever its thunk, while
-    that node has ``x``'s class, so every step of one cut has ``x``'s
-    class.  It stops when it has spent ``budget``, or reaches a value, a
-    node of another class, ``x`` itself or a bind whose left spine holds
-    ``x``, which it leaves for the next cut.  A run or a generator is cut
-    in one go, and a knot, such as ``never()``, is a run without end that
-    takes the rest of the budget at once; a closure or a forced tail is
-    one step.  A bind node opens its left spine, cuts the head there as
-    one node (so a head that steps into further binds adds no host
-    frame) and feeds the rest to its continuations.
+    The package's one stepping loop, and the one code that runs a cell's code.
+    It peels ``x``, then each node it reaches, whatever its cell holds,
+    while that node has ``x``'s class, so every step of one cut has
+    ``x``'s class.  It stops when it has spent ``budget``, or reaches a
+    value, a node of another class, ``x`` itself or a bind whose left
+    spine holds ``x``, which it leaves for the next cut.  A run or a
+    generator is cut in one go, and a knot, such as ``never()``, is a run
+    without end that takes the rest of the budget at once; a closure or a
+    cell that holds a node is one step.  A bind node opens its left spine,
+    cuts the head there as one node (so a head that steps into further
+    binds adds no host frame) and feeds the rest to its continuations.
 
     The memo rules make a thunk run once per step, however often its
-    node is run.  A node cut on its own by ``j`` steps is memoised as its
-    forced tail if ``j`` is 1, else as a run of ``j`` steps before the
-    rest; a forced node, or a run cut by more than one step, keeps what
-    it is.  Each node after ``x`` gets that memo as the loop passes it,
-    and so does a bind's head, unless it is a run, which is pure.  ``x``
-    is memoised only when the cut ends, by the same rule over all ``k``
-    steps: while the loop runs it points at no node it passed, so they
-    are freed as it goes, and a shorter re-cut of ``x`` reads a prefix of
-    this one; but a thunk that runs ``x`` again during the cut (a
-    re-entrant ``run_for`` or ``observe``) runs it from its start.  The
-    node whose thunk raises an exception, or a closure that returns a
-    non-``Delay`` (``TypeError``), memoises nothing; ``x`` is memoised as a
-    run of the steps already taken before the exception propagates, so a
-    re-run calls no earlier thunk again.
+    node is run.  A node cut on its own by ``j`` steps gets the rest in
+    its cell if ``j`` is 1, else a run of ``j`` steps before the rest; a
+    cell that holds a node, or a run cut by more than one step, keeps
+    what it holds.  Each node after ``x`` gets that memo as the loop
+    passes it, and so does a bind's head, unless it is a run, which is
+    pure.  ``x`` is memoised only when the cut ends, by the same rule
+    over all ``k`` steps: while the loop runs it points at no node it
+    passed, so they are freed as it goes, and a shorter re-cut of ``x``
+    reads a prefix of this one; but a thunk that runs ``x`` again during
+    the cut (a re-entrant ``run_for`` or ``observe``) runs it from its
+    start.  The node whose thunk raises an exception, or a closure that
+    returns a non-``Delay`` (``TypeError``), memoises nothing; ``x`` is
+    memoised as a run of the steps already taken before the exception
+    propagates, so a re-run calls no earlier thunk again.
     """
     cls, y, k = type(x), x, 0
     try:
@@ -403,34 +406,30 @@ def _skip(x: Later, budget: int) -> tuple[Delay, int]:
                 if node is x:  # ``x`` is not memoised yet: end the cut before ``y``
                     rest = y
                     break
-            if t is None:
-                rest = node._forced
-                j = budget - k if rest is node else 1
-            elif type(t) is _Run:
-                c, n, rest = t
+            if type(t) is _Run:
+                n, rest = t
                 j = budget - k
                 if n > j:
-                    rest = c(_Run((c, n - j, rest)))
+                    rest = type(node)(_Run((n - j, rest)))
                 else:
                     j = n
-            elif type(t) is _Gen:
-                rest, j = t.drop(budget - k)
+                changed = j == 1
+            elif type(t) is GeneratorType:
+                rest, j = _drop(t, budget - k)
+                changed = True
+            elif isinstance(t, Delay):
+                rest, j, changed = t, budget - k if t is node else 1, False
             else:
-                rest, j = t(), 1
+                rest, j, changed = t(), 1, True
+                if type(rest) is not cls and not isinstance(rest, Delay):
+                    raise _not_delay(rest)
             if ks is not None:
-                if t is not None and type(t) is not _Run:
+                if changed and type(t) is not _Run:
                     _memo(node, j, rest)
-                rest = bind(ks, rest)
-            elif type(rest) is not cls and not isinstance(rest, Delay):
-                raise _not_delay(rest)  # from a closure
+                rest, changed = bind(ks, rest), True
             k += j
-            # A forced node, or a run cut by more than one step, keeps what it is.
-            changed = ks is not None or t is not None and (j == 1 or type(t) is not _Run)
             if changed and y is not x:
-                if j == 1:  # ``_memo``'s one-step case, inlined: every bind and closure step takes it
-                    y._forced, y._thunk = rest, None
-                else:
-                    _memo(y, j, rest)
+                y._thunk = rest if j == 1 else _Run((j, rest))
             if k == budget or type(rest) is not cls or rest is x:
                 break
             y = rest
@@ -444,11 +443,8 @@ def _skip(x: Later, budget: int) -> tuple[Delay, int]:
 
 
 def _memo(node: Later, k: int, rest: Delay) -> None:
-    # A cut of ``k`` steps: one is the forced tail, more a run before ``rest``.
-    if k == 1:
-        node._forced, node._thunk = rest, None
-    else:
-        node._thunk, node._forced = _Run((type(node), k, rest)), None
+    # A cut of ``k`` steps: one leaves the rest in the cell, more a run before ``rest``.
+    node._thunk = rest if k == 1 else _Run((k, rest))
 
 
 def strength(a: A, y: Delay[B]) -> Delay[tuple[A, B]]:
@@ -472,8 +468,7 @@ def strict_tuple(xs: Sequence[Delay[A]]) -> Delay[tuple[A, ...]]:
     """
     acc: Delay[tuple] = Now(())
     for x in xs:
-        if not isinstance(x, Delay):
-            raise _not_delay(x)
+        _delay(x)
         acc = bind(lambda t, x=x: fmap(lambda v: t + (v,), x), acc)
     return acc
 
@@ -481,9 +476,10 @@ def strict_tuple(xs: Sequence[Delay[A]]) -> Delay[tuple[A, ...]]:
 def strict_proj(i: int, xs: Sequence[Delay[A]]) -> Delay[A]:
     """1-based projection that is strict in every component.
 
-    Raises ``IndexError`` on a bad index; that is a caller error, distinct
-    from the represented nontermination.
+    Raises ``IndexError`` on a bad index, ``TypeError`` on a non-integer;
+    that is a caller error, distinct from the represented nontermination.
     """
+    i = operator.index(i)
     items = tuple(xs)
     if not 1 <= i <= len(items):
         raise IndexError(f"strict_proj index {i} out of range 1..{len(items)}")
@@ -498,7 +494,7 @@ def race(x: Delay[B], y: Delay[B]) -> Delay[B]:
     cut runs its rounds one per resume, so a racer is stepped no further
     than the round that some racer converges in.
     """
-    return _gen(_race((x, y), None))
+    return _gen(_race((_delay(x), _delay(y)), None))
 
 
 def parallel_search(f: Callable[[int], Delay[B]]) -> Delay[B]:
@@ -510,7 +506,8 @@ def parallel_search(f: Callable[[int], Delay[B]]) -> Delay[B]:
     Racing is the one combinator here that breaks weak bisimilarity, so
     callers (``fix``) must only race entrants with compatible values.  A
     cut runs its rounds one per resume, and calls no entrant past the
-    first round at which some racer converges.
+    first round at which some racer converges; a non-``Delay`` entrant
+    closes the search with ``TypeError``.
     """
     return _gen(_race((), f))
 
@@ -530,7 +527,7 @@ def _race(xs: Sequence[Delay[B]],
         if f is None and len(live) < 2:
             return live[0] if live else _NEVER
         yield
-        xs = [x.rest() for x in live] + ([f(n)] if f else [])
+        xs = [x.rest() for x in live] + ([_delay(f(n))] if f else [])
 
 
 def _check_fuel(fuel: int) -> None:
@@ -549,8 +546,7 @@ def run_for(x: Delay[A], fuel: int) -> RunResult[A]:
     is not a ``Delay``.
     """
     _check_fuel(fuel)
-    if not isinstance(x, Delay):
-        raise _not_delay(x)
+    _delay(x)
     steps = 0
     while True:
         if isinstance(x, Now):

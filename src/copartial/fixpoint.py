@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Callable, Generic, TypeVar
 
-from .delay import Delay, _Record, bind, fmap, never, now, parallel_search
+from .delay import Delay, _natural, _Record, bind, fmap, never, now, parallel_search
 
 A = TypeVar("A")
 B = TypeVar("B")
@@ -53,10 +53,8 @@ def bottom() -> PartialFn:
 
 def iterate(op: Operator, n: int) -> PartialFn:
     """The n-th iterate of ``op`` on ``bottom``."""
-    if n < 0:
-        raise ValueError("iteration count must be non-negative")
     f = bottom()
-    for _ in range(n):
+    for _ in range(_natural(n, "iteration count must be non-negative")):
         f = op.apply(f)
     return f
 

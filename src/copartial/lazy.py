@@ -17,7 +17,7 @@ import sys
 from typing import Tuple
 
 from .delay import (
-    Delay, Later, Now, _check_fuel, _natural, _run_node, _skip, bind, delay_by, later, never, now,
+    Delay, Later, Now, _check_fuel, _delay, _natural, _run_node, _skip, bind, delay_by, later, never, now,
 )
 from .semantics import FAILS, HOLDS, Verdict, unknown
 
@@ -84,6 +84,7 @@ def observe(x: LazyNat, fuel: int) -> Tuple[int, Ended]:
     of successors seen before the end or before the fuel ran out.
     """
     _check_fuel(fuel)
+    _delay(x)
     succs = 0
     while True:
         if isinstance(x, Now):
@@ -112,6 +113,7 @@ def lazy_le(x: LazyNat, y: LazyNat, fuel: int) -> Verdict:
     (``Fails``).  One fuel per stripped constructor.
     """
     _check_fuel(fuel)
+    _delay(x), _delay(y)
     spent = 0
     while True:
         if isinstance(x, Now):

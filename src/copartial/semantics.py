@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional, TypeVar, Union
 
-from .delay import Again, Converged, Delay, Done, _check_fuel, _Record, run_for
+from .delay import Again, Converged, Delay, Done, _check_fuel, _not_delay, _Record, run_for
 
 A = TypeVar("A")
 S = TypeVar("S")
@@ -114,9 +114,10 @@ def diverges_finite_state(
 
     ``Holds`` if iteration revisits a seed before producing a value,
     ``Fails`` if a value is produced, ``Unknown`` once ``state_bound``
-    distinct seeds have been seen.  Seeds must be hashable with a
-    meaningful equality.  The seeds seen are the fuel spent, so
-    ``state_bound`` is checked as fuel.
+    distinct seeds have been seen, ``TypeError`` at a step that is neither
+    ``Again`` nor ``Done``.  Seeds must be hashable with a meaningful
+    equality.  The seeds seen are the fuel spent, so ``state_bound`` is
+    checked as fuel.
     """
     _check_fuel(state_bound)
     seen = set()
@@ -128,8 +129,10 @@ def diverges_finite_state(
             return unknown(len(seen))
         seen.add(s)
         r = step(s)
-        if isinstance(r, Done):
-            return FAILS
+        if not isinstance(r, Again):
+            if isinstance(r, Done):
+                return FAILS
+            raise _not_delay(r, "Again or Done")
         s = r.state
 
 

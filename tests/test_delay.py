@@ -11,6 +11,7 @@ from copartial import (
     Exhausted,
     bind,
     delay_by,
+    diverges_finite_state,
     fmap,
     later,
     never,
@@ -217,9 +218,15 @@ class TestNotADelay:
          (lambda: fmap(str, (1, 2)), "tuple"),
          (lambda: strict_tuple(["x"]), "str"),
          (lambda: strict_tuple([delay_by(0, 1), "x"]), "str"),
-         (lambda: run_for(5, 10), "int")],
+         (lambda: run_for(5, 10), "int"),
+         (lambda: race(5, delay_by(0, 3)), "int"),
+         (lambda: race(5, now(1)), "int"),
+         (lambda: observe(5, 10), "int"),
+         (lambda: lazy_le(lazy_of(2), [1], 10), "list"),
+         (lambda: lazy_le(5, lazy_of(2), 10), "int")],
         ids=["bind-str", "bind-list", "bind-int", "fmap", "strict_tuple", "strict_tuple-second",
-             "run_for"],
+             "run_for", "race-left", "race-right-converged", "observe", "lazy_le-right",
+             "lazy_le-left"],
     )
     def test_a_non_delay_argument_is_refused(self, call, got):
         with pytest.raises(TypeError, match=f"expected a Delay, got {got}$"):
@@ -244,6 +251,34 @@ class TestNotADelay:
                 run_for(x, 10)
         with pytest.raises(TypeError, match="expected a Delay, got int$"):
             observe(x, 10)
+
+    @pytest.mark.parametrize("late", [False, True], ids=["first-entrant", "fourth-entrant"])
+    def test_a_non_delay_search_entrant_raises_in_its_round_and_closes_the_search(self, late):
+        # Entrant n is called in step n + 1; the search is a generator, which the error closes.
+        n = 3 if late else 0
+        search = parallel_search(lambda i: delay_by(0, 100) if i < n else 7)
+        assert isinstance(run_for(search, n), Exhausted)
+        with pytest.raises(TypeError, match="expected a Delay, got int$"):
+            run_for(search, 10)
+        with pytest.raises(RuntimeError, match="cannot resume"):
+            run_for(search, 10)
+
+    def test_an_unfold_step_that_is_neither_again_nor_done_raises_at_its_step(self):
+        # The first step is taken when the unfold is built.
+        with pytest.raises(TypeError, match="expected Again or Done, got int$"):
+            unfold(0, lambda s: 5)
+        x = unfold(0, lambda s: Again(s + 1) if s < 3 else 5)
+        assert isinstance(run_for(x, 2), Exhausted)
+        with pytest.raises(TypeError, match="expected Again or Done, got int$"):
+            run_for(x, 10)
+        with pytest.raises(RuntimeError, match="cannot resume"):
+            run_for(x, 10)
+
+    def test_a_finite_state_step_that_is_neither_again_nor_done_raises(self):
+        with pytest.raises(TypeError, match="expected Again or Done, got int$"):
+            diverges_finite_state(0, lambda s: 5, 10)
+        with pytest.raises(TypeError, match="expected Again or Done, got NoneType$"):
+            diverges_finite_state(0, lambda s: Again(s + 1) if s < 3 else None, 10)
 
 
 class Calls:
@@ -393,6 +428,11 @@ class TestPairing:
         with pytest.raises(IndexError):
             strict_proj(0, [now(1)])
 
+    def test_strict_proj_non_integer_index_raises_at_the_call(self):
+        # Not when the run reaches the projection.
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            strict_proj(1.0, [delay_by(5, 2)])
+
     @given(finite_delays(), finite_delays())
     @settings(max_examples=100)
     def test_strict_pair_counts(self, x, y):
@@ -454,7 +494,7 @@ class TestParallelSearch:
 
 
 class TestRaceGenerator:
-    """A race's rounds, like an unfold's steps, are one generator, cut in bulk by ``_Gen``."""
+    """A race's rounds, like an unfold's steps, are one generator, cut in bulk by ``_drop``."""
 
     @pytest.mark.parametrize("kind", ["entrant", "racer", "unfold"])
     def test_an_exception_in_a_cut_closes_the_race(self, kind):

@@ -1,5 +1,8 @@
 """Iterates, the dovetailed fixed point, and the sample operators."""
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from copartial import (
@@ -10,6 +13,8 @@ from copartial import (
     fix,
     iterate,
     leq,
+    never,
+    Now,
     now,
     run_for,
 )
@@ -48,6 +53,16 @@ class TestBottomAndIterate:
         with pytest.raises(ValueError):
             iterate(factorial_operator(), -1)
 
+    def test_iterate_checks_its_count_as_every_count_is_checked(self):
+        class Two:
+            def __index__(self):
+                return 2
+
+        F = factorial_operator()
+        assert run_for(iterate(F, Two())(1), 100) == Converged(1, 0)
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            iterate(F, "2")
+
     def test_factorial_base_needs_one_iterate(self):
         F = factorial_operator()
         assert run_for(iterate(F, 1)(0), 100) == Converged(1, 0)
@@ -59,7 +74,29 @@ class TestBottomAndIterate:
         assert isinstance(r, Converged) and r.value == 120
 
 
+def fixpoint_steps_args():
+    """``scripts/fixpoint_steps.py``'s arguments per sample operator."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "fixpoint_steps.py"
+    spec = importlib.util.spec_from_file_location("fixpoint_steps", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script.ARGS
+
+
 class TestFix:
+    def test_the_winning_iterate_is_one_less_than_the_steps(self):
+        # What ``fixpoint_steps.py`` prints as ``first_iterate``: iterate n joins
+        # after n + 1 steps, and each sample iterate is a value or ``never()``.
+        args = fixpoint_steps_args()
+        for name, F in SAMPLE_OPERATORS().items():
+            for a in args[name]:
+                r = run_for(fix(F)(a), FUEL)
+                if isinstance(r, Exhausted):
+                    continue
+                won = iterate(F, r.steps - 1)(a)
+                assert isinstance(won, Now) and won.value == r.value, (name, a)
+                assert iterate(F, r.steps - 2)(a) is never(), (name, a)
+
     def test_factorial(self):
         f = fix(factorial_operator())
         # regression constant for the dovetail schedule

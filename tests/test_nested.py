@@ -12,7 +12,7 @@ from copartial import (
     run_for, strict_pair, unfold, Again, Done,
 )
 from copartial.lazy import succ
-from copartial.delay import _Gen, _gen, _run_node
+from copartial.delay import _drop, _gen, _run_node
 from copartial.nested import DevilSpec, cnest, cps_fix, devil, mccarthy91_devil_spec
 
 FUEL = 10_000
@@ -284,7 +284,7 @@ class TestBindLoops:
 
 
 class TestGenerators:
-    """``cnest`` and ``cps_fix`` are generators, cut in bulk by ``_Gen``."""
+    """``cnest`` and ``cps_fix`` are generators, cut in bulk by ``_drop``."""
 
     @given(st.integers(0, 40), st.integers(0, 6))
     def test_cnest_matches_an_unfold_of_its_step(self, n, m):
@@ -315,7 +315,7 @@ class TestGenerators:
             (whole.value, whole.value), 2 * whole.steps)
 
     def test_an_exception_in_a_cut_closes_the_generator(self):
-        # Raised in ``_Gen.drop`` after ``send`` has returned five bare steps
+        # Raised in ``_drop`` after ``send`` has returned five bare steps
         # and before the cut is recorded: a second run must not read the
         # advanced generator as the node's start.
         class Interrupt(Exception):
@@ -327,7 +327,7 @@ class TestGenerators:
             return local
 
         def interrupt(frame, event, arg):
-            return local if frame.f_code is _Gen.drop.__code__ else None
+            return local if frame.f_code is _drop.__code__ else None
 
         def bare_steps(n):
             for _ in range(n):

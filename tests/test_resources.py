@@ -321,3 +321,11 @@ def test_no_nested_function_names_itself():
         tree = ast.parse(path.read_text(), str(path))
         found |= {f"{path.name}:{line} {name}" for line, name in _self_naming_nested_functions(tree)}
     assert sorted(found) == []
+
+
+def test_only_delay_names_the_memo_cell():
+    # A ``Later``'s one slot, ``_thunk``, holds code or what its cut left, and
+    # only ``delay`` tells the two apart: no other module may reach it.
+    package = Path(copartial.__file__).parent
+    names = sorted(path.name for path in package.glob("*.py") if "_thunk" in path.read_text())
+    assert names == ["delay.py"]
