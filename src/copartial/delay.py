@@ -9,24 +9,26 @@ race round O(live racers), with no host nesting.  A bind node has the
 class of the step it runs, so tagged steps keep their tags.
 ``delay_by(v, n)`` is one node for its whole run of ``n`` steps, and
 the private ``_gen`` makes one node over a generator: each resume is
-sent the steps it may take and yields the steps it took (a bare
-``yield`` is one), and the generator returns its rest, a ``Delay``.
-Every stepped machine is such a node (an ``unfold``, a race, ``nested``'s
-``cps_fix`` and ``cnest``), and an exception that escapes a cut closes
-it for good.  A ``Later`` is one memo cell: it holds its step's code
-until its cut, and then the rest or a run before it.  One loop,
-``_skip``, steps every node: it runs each cell's code and peels past
-its node through the consecutive nodes of the first node's class until
-its budget is spent or the class changes, cutting a run, a generator or
-a knot (a cell that holds its own node, such as ``never()``) in one go.
+sent the steps it may take and yields the steps it took, and the
+generator returns its rest, a ``Delay``.  Every stepped machine is such
+a node (an ``unfold``, ``nested``'s ``cps_fix`` and ``cnest``), and an
+exception that escapes a cut closes it for good.  A race or a search is
+an ``unfold`` of its rounds whose last step may hand over to a racer.
+A ``Later`` is one memo cell: it holds its step's code until its cut,
+and then the rest or a run before it.  One loop, ``_skip``, steps every
+node: it runs each cell's code and peels past its node through the
+consecutive nodes of the first node's class until its budget is spent
+or the class changes, cutting a run, a generator or a knot (a cell that
+holds its own node, such as ``never()``) in one go.
 So the peel loops (``run_for``, and ``lazy``'s ``observe`` and
 ``lazy_le``) loop only where the class changes, while charging one fuel
 per step; ``rest()`` peels one step.  Each cell the loop passes is
 updated as it is passed, and the first node's when the cut ends, so a
 thunk runs once per step however often its node is run after its cut,
 and a caller that keeps the first node keeps no chain of the nodes
-passed.  A non-``Delay`` where a ``Delay`` is due, or an ``unfold`` step
-that is neither ``Again`` nor ``Done``, raises ``TypeError``.
+passed.  A non-``Delay`` where a ``Delay`` is due, an ``unfold`` step
+that is neither ``Again`` nor a ``Delay``, or a bare ``Delay()``, raises
+``TypeError``.
 ``now``/``later`` are the classes ``Now``/``Later``, and ``Done`` is
 ``Now``.  A run's result, ``Converged`` or ``Exhausted``, is a record: a
 slotted value class over ``_Record``, the one base of every record.
@@ -35,7 +37,6 @@ slotted value class over ``_Record``, the one base of every record.
 from __future__ import annotations
 
 import operator
-from itertools import count
 from types import GeneratorType
 from typing import Any, Callable, Generator, Generic, Sequence, TypeVar, Union
 
@@ -73,6 +74,9 @@ class Delay(Generic[A]):
     """Base class; concrete values are ``Now`` or ``Later``."""
 
     __slots__ = ()
+
+    def __init__(self, *args):
+        raise TypeError("Delay is abstract: build a Now or a Later")
 
 
 class Now(Delay[A]):
@@ -235,26 +239,29 @@ class _Run(tuple):
     __slots__ = ()
 
 
-def unfold(seed: S, step: Callable[[S], Union[Again[S], Done[B]]]) -> Delay[B]:
+def unfold(seed: S, step: Callable[[S], Union[Again[S], Delay[B]]]) -> Delay[B]:
     """Iterate a step function, one observable step per ``Again``.
 
-    ``step`` plays the role of a coalgebra: ``Done(b)``, which is ``Now(b)``, is
-    the result; ``Again(s)`` emits a step and continues from ``s``.  The
-    first ``step`` is taken now, and the node after it is a generator's
-    node, cut by as many calls of ``step`` as each budget allows.  Each
-    ``step`` is called once per step, however often a node is run, so it
-    may advance ``s`` in place, as ``reccode`` does with a generator.
+    ``step`` plays the role of a coalgebra: ``Again(s)`` emits a step and
+    continues from ``s``; ``Done(b)``, which is ``Now(b)``, is the result,
+    and any other ``Delay`` is the rest the unfold continues as, as an
+    apomorphism's step may end (a race hands over to its last racer so).
+    The first ``step`` is taken now, and the node after it is a
+    generator's node, cut by as many calls of ``step`` as each budget
+    allows.  Each ``step`` is called once per step, however often a node
+    is run, so it may advance ``s`` in place, as ``reccode`` does with a
+    generator.
     """
     return _gen(_unfold(step, seed))
 
 
-def _unfold(step: Callable[[S], Union[Again[S], Done[B]]], s: S) -> Generator[int, int, Delay[B]]:
+def _unfold(step: Callable[[S], Union[Again[S], Delay[B]]], s: S) -> Generator[int, int, Delay[B]]:
     # A resume of budget b calls ``step`` up to b times; ``k`` counts the ``Again``s of this resume.
     k, budget = 0, 1  # ``_gen``'s first resume is one step
     while True:
         r = step(s)
         if not isinstance(r, Again):
-            if isinstance(r, Done):
+            if isinstance(r, Delay):
                 return _run_node(Later, k, r)
             raise _not_delay(r, "Again or Done")
         s, k = r.state, k + 1
@@ -262,7 +269,7 @@ def _unfold(step: Callable[[S], Union[Again[S], Done[B]]], s: S) -> Generator[in
             budget, k = (yield k), 0
 
 
-def _gen(gen: Generator[int | None, int, Delay[A]]) -> Delay[A]:
+def _gen(gen: Generator[int, int, Delay[A]]) -> Delay[A]:
     """The steps of a generator, then the rest it returns, as one node.
 
     A fresh generator is run to its first ``yield`` with ``next``, and that
@@ -277,23 +284,23 @@ def _gen(gen: Generator[int | None, int, Delay[A]]) -> Delay[A]:
     return Later(gen)
 
 
-def _drop(gen: Generator[int | None, int, Delay[A]], budget: int) -> tuple[Delay[A], int]:
+def _drop(gen: Generator[int, int, Delay[A]], budget: int) -> tuple[Delay[A], int]:
     """Cut up to ``budget`` steps off the node whose cell holds ``gen``.
 
     Resumes ``gen`` with ``gen.send(budget - k)``, where ``k`` is the steps
     taken so far in this cut.  A resume yields the number of steps it
-    took, never more than it was sent and possibly 0; a bare ``yield``
-    counts as 1.  A resume that ends in ``return`` counts as one step, so
-    a generator that took ``j`` steps in its last resume returns its rest,
-    a ``Delay``, behind ``j - 1`` steps (``_run_node``).  A cut is
-    recorded only when this returns, so an exception that escapes it,
-    wherever raised, closes the generator: running the node again then
-    raises "cannot resume" instead of reporting fewer steps."""
+    took, never more than it was sent and possibly 0.  A resume that
+    ends in ``return`` counts as one step, so a generator that took ``j``
+    steps in its last resume returns its rest, a ``Delay``, behind
+    ``j - 1`` steps (``_run_node``).  A cut is recorded only when this
+    returns, so an exception that escapes it, wherever raised, closes the
+    generator: running the node again then raises "cannot resume"
+    instead of reporting fewer steps."""
     k = 0
     try:
         while k < budget:
             j = gen.send(budget - k)
-            k += 1 if j is None else j
+            k += j
         return Later(gen), k
     except StopIteration as stop:
         if stop.value is None:
@@ -491,10 +498,12 @@ def race(x: Delay[B], y: Delay[B]) -> Delay[B]:
 
     Converges iff either argument converges.  The left bias is entry
     order, as in ``parallel_search``, whose caveat applies here too.  A
-    cut runs its rounds one per resume, so a racer is stepped no further
-    than the round that some racer converges in.
+    race is an ``unfold`` of its rounds, one step each, so a cut runs as
+    many rounds as its budget allows in one resume; a racer is stepped no
+    further than the round that some racer converges in, and the last
+    racer left is the race's rest.
     """
-    return _gen(_race((_delay(x), _delay(y)), None))
+    return unfold(((_delay(x), _delay(y)), None, 0), _round)
 
 
 def parallel_search(f: Callable[[int], Delay[B]]) -> Delay[B]:
@@ -505,29 +514,28 @@ def parallel_search(f: Callable[[int], Delay[B]]) -> Delay[B]:
     The first entrant to converge wins, the earliest entered on a tie.
     Racing is the one combinator here that breaks weak bisimilarity, so
     callers (``fix``) must only race entrants with compatible values.  A
-    cut runs its rounds one per resume, and calls no entrant past the
-    first round at which some racer converges; a non-``Delay`` entrant
-    closes the search with ``TypeError``.
+    search is an ``unfold`` of its rounds, as a race is, and calls no
+    entrant past the first round at which some racer converges; a
+    non-``Delay`` entrant closes the search with ``TypeError``.
     """
-    return _gen(_race((), f))
+    return unfold(((), f, 0), _round)
 
 
-def _race(xs: Sequence[Delay[B]],
-          f: Callable[[int], Delay[B]] | None) -> Generator[None, int, Delay[B]]:
-    # One round per step over the racers ``xs`` in entry order; ``f(n)`` enters after step n + 1.
-    # Each resume runs one round and ignores the budget it is sent: a bare ``yield`` is one step.
-    # The canonical never is its own tail, so it drops out without changing any step.
-    for n in count():
-        live = []
-        for x in xs:
-            if isinstance(x, Now):
-                return x
-            if x is not _NEVER:
-                live.append(x)
-        if f is None and len(live) < 2:
-            return live[0] if live else _NEVER
-        yield
-        xs = [x.rest() for x in live] + ([_delay(f(n))] if f else [])
+def _round(state: tuple) -> Union[Again[tuple], Delay[B]]:
+    # Round n over ``(racers, f, n)``: step the last round's live racers and enter ``f(n - 1)``,
+    # in entry order.  The canonical never is its own tail, so it drops out without changing any step.
+    xs, f, n = state
+    if n:
+        xs = [x.rest() for x in xs] + ([_delay(f(n - 1))] if f else [])
+    live = []
+    for x in xs:
+        if isinstance(x, Now):
+            return x
+        if x is not _NEVER:
+            live.append(x)
+    if f is None and len(live) < 2:
+        return live[0] if live else _NEVER
+    return Again((live, f, n + 1))
 
 
 def _check_fuel(fuel: int) -> None:

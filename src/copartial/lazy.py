@@ -207,4 +207,4 @@ def sloth_strict_g(n: int) -> Delay[int]:
 
 def _returned_plus(x: Delay[int], a: int) -> Delay[int]:
     # Return into the pending caller, run ``x``, then return its value plus ``a``.
-    return later(lambda: bind(lambda w: delay_by(w + a, 1), x))
+    return bind(lambda w: delay_by(w + a, 1), later(x))

@@ -84,7 +84,7 @@ def devil(spec: DevilSpec[A], a: A) -> Delay[A]:
     if spec.in_base(a):
         return now(spec.g(a))
     return later(lambda: fmap(spec.h, bind(
-        lambda v: later(lambda: devil(spec, v)), devil(spec, spec.i(a)))))
+        lambda v: later(devil(spec, v)), devil(spec, spec.i(a)))))
 
 
 def cps_fix(

@@ -226,9 +226,9 @@ def evaluate(code: RecCode, args: Sequence[Delay[int]]) -> Delay[int]:
     ns: dict = {}
     exec(compile("\n".join(emitter.lines), "<reccode>", "exec"), ns)
     run = ns[top]
-    # A generated function left in the globals it runs in would be a cycle.
-    for name in emitter.names:
-        del ns[name]
+    # A generated function left in the globals it runs in would be a cycle.  Since
+    # Python 3.10 a function keeps the builtins it was defined with, so ``range`` resolves.
+    ns.clear()
     return bind(lambda vs: unfold(run(vs), _next), strict_tuple(xs))
 
 
@@ -275,8 +275,7 @@ class _Emitter:
 
     def __init__(self):
         self.lines: list[str] = []
-        # The names the source binds, and the split loop bodies among them.
-        self.names: list[str] = []
+        # The split loop bodies defined so far.
         self.splits: list[str] = []
         self._count = count()
 
@@ -291,7 +290,6 @@ class _Emitter:
         # The ``yield`` after the body's ``return`` is never reached; it makes
         # every generated function a generator, with or without an ``M``.
         self.lines += [f"def {name}({signature}):", _indented(body), "    yield"]
-        self.names.append(name)
         return name
 
     def combine(self, node: RecCode, n: int, forms: list) -> tuple:

@@ -1,5 +1,8 @@
 """Delay constructors, monadic structure, pairing, race, and search."""
 
+import inspect
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,7 +28,8 @@ from copartial import (
     strict_tuple,
     unfold,
 )
-from copartial.delay import _skip
+from copartial import delay
+from copartial.delay import Delay, _skip
 from copartial.lazy import Ended, lazy_le, lazy_of, lazy_plus, observe, step, succ
 from copartial.reccode import CORPUS, oracle_eval
 from tests.conftest import finite_delays
@@ -152,6 +156,16 @@ class TestUnfold:
         steps = whole.steps if isinstance(whole, Converged) else fuel + more
         assert len(calls) == steps + 1
 
+    def test_a_step_may_continue_as_any_delay(self):
+        # Three ``Again``s, then the unfold continues as a 5-step run.
+        step = lambda s: Again(s + 1) if s < 3 else delay_by(7, 5)
+        u = unfold(0, step)
+        assert run_for(u, 100) == run_for(u, 100) == Converged(7, 8)
+        for cut in range(8):
+            r = run_for(unfold(0, step), cut)
+            assert isinstance(r, Exhausted)
+            assert run_for(r.rest, 100) == Converged(7, 8 - cut)
+
     def test_a_node_run_twice_takes_its_steps_once(self):
         # The first cut is memoised, so the second run reads it back.
         calls = []
@@ -231,6 +245,12 @@ class TestNotADelay:
     def test_a_non_delay_argument_is_refused(self, call, got):
         with pytest.raises(TypeError, match=f"expected a Delay, got {got}$"):
             call()
+
+    @pytest.mark.parametrize("make", [lambda: Delay(), lambda: Delay[int]()],
+                             ids=["Delay", "Delay[int]"])
+    def test_the_base_class_cannot_be_built(self, make):
+        with pytest.raises(TypeError, match="Delay is abstract"):
+            make()
 
     @pytest.mark.parametrize("steps", [1, 3])
     def test_a_continuation_that_returns_a_non_delay_raises_at_its_step(self, steps):
@@ -524,6 +544,44 @@ class TestRaceGenerator:
         with pytest.raises(RuntimeError, match="cannot resume"):
             run_for(d, 100)
         assert len(calls) == 1 and len(stepped) == (4 if kind == "unfold" else 0)
+
+
+def generator_resumes(run):
+    """``run()`` and the number of resumes of ``delay``'s generators during
+    it, each first run to its first ``yield`` included."""
+    resumes = 0
+
+    def profile(frame, event, arg):
+        nonlocal resumes
+        code = frame.f_code
+        if (event == "call" and code.co_flags & inspect.CO_GENERATOR
+                and code.co_filename == delay.__file__):
+            resumes += 1
+
+    outer = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        result = run()
+    finally:
+        sys.setprofile(outer)
+    return result, resumes
+
+
+class TestRaceResumes:
+    """A race or a search is an ``unfold`` of its rounds: a cut runs as many
+    rounds as its budget allows in one resume."""
+
+    def test_a_race_is_cut_in_one_resume(self):
+        result, resumes = generator_resumes(
+            lambda: run_for(race(delay_by(0, 1000), delay_by(1, 1001)), 10**4))
+        assert result == Converged(0, 1000)
+        assert resumes <= 2
+
+    def test_a_search_is_cut_in_one_resume(self):
+        result, resumes = generator_resumes(lambda: run_for(
+            parallel_search(lambda n: delay_by(n, 500 - n) if n < 3 else never()), 10**4))
+        assert result == Converged(0, 501)
+        assert resumes <= 2
 
 
 class TestRaceCuts:

@@ -315,7 +315,7 @@ class TestGenerators:
             (whole.value, whole.value), 2 * whole.steps)
 
     def test_an_exception_in_a_cut_closes_the_generator(self):
-        # Raised in ``_drop`` after ``send`` has returned five bare steps
+        # Raised in ``_drop`` after ``send`` has returned five one-step resumes
         # and before the cut is recorded: a second run must not read the
         # advanced generator as the node's start.
         class Interrupt(Exception):
@@ -331,7 +331,7 @@ class TestGenerators:
 
         def bare_steps(n):
             for _ in range(n):
-                yield
+                yield 1
             return now(n)
 
         d = _gen(bare_steps(20))
@@ -380,7 +380,7 @@ class TestGenerators:
 
         def ticking(n):
             left = n - 1
-            budget = yield
+            budget = yield 1
             while True:
                 again = yield 0
                 resumes.append((budget, again))

@@ -19,7 +19,7 @@ from copartial.lazy import (
     ZERO, Ended, lazy_of, lazy_plus, observe, omega, sloth_f, sloth_strict_g, step, succ,
 )
 from copartial.nested import DevilSpec, cps_fix, devil, nest
-from copartial.reccode import CORPUS, Comp, Min, PrimRec, Proj, Succ, evaluate
+from copartial.reccode import CORPUS, Comp, Min, PrimRec, Proj, Succ, Zero, evaluate
 
 
 def left_chain(depth, x):
@@ -284,6 +284,12 @@ def test_runs_leave_no_cyclic_garbage():
         assert run_for(evaluate(CORPUS["ident_by_min"], [now(5)]), 10_000) == Converged(5, 5)
         search = Min(Comp(CORPUS["monus"], (Proj(1, 2), Comp(CORPUS["ident_by_min"], (Proj(2, 2),)))))
         assert run_for(evaluate(search, [now(3)]), 10_000) == Converged(3, 9)
+        # A search under 25 nested loops, past the block limit: its loop body is split off.
+        one = Comp(Succ(), (Comp(Zero(), (Proj(1, 3),)),))
+        deep = Comp(CORPUS["plus"], (Proj(1, 2), Comp(CORPUS["ident_by_min"], (Proj(1, 2),))))
+        for _ in range(25):
+            deep = PrimRec(Proj(1, 1), Comp(deep, (Proj(3, 3), one)))
+        assert run_for(evaluate(deep, [now(4), now(2)]), 10_000) == Converged(16, 12)
         assert run_for(left_chain(300, delay_by(0, 1)), 1000) == Converged(300, 301)
         assert run_for(stepping_search(50), 1000) == Converged(50, 51)
         assert run_for(nest(30), 1000) == Converged(0, 61)
@@ -310,6 +316,22 @@ def _self_naming_nested_functions(tree):
                 continue
             if any(isinstance(n, ast.Name) and n.id == name for n in ast.walk(body)):
                 yield node.lineno, name
+
+
+def _bare_yields(tree):
+    """The lines of ``yield`` expressions without a value."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Yield) and node.value is None:
+            yield node.lineno
+
+
+def test_no_generator_yields_without_a_value():
+    # A resume of a generator node yields the number of steps it took.
+    found = []
+    for path in sorted(Path(copartial.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        found += [f"{path.name}:{line}" for line in _bare_yields(tree)]
+    assert found == []
 
 
 def test_no_nested_function_names_itself():
