@@ -11,8 +11,8 @@ class of the step it runs, so tagged steps keep their tags.
 the private ``_gen`` makes one node over a generator: each resume is
 sent the steps it may take and yields the steps it took, and the
 generator returns its rest, a ``Delay``.  Every stepped machine is such
-a node (an ``unfold``, ``nested``'s ``cps_fix`` and ``cnest``), and an
-exception that escapes a cut closes it for good.  A race or a search is
+a node (an ``unfold`` and ``nested``'s ``cps_fix``), and an exception
+that escapes a cut closes it for good.  A race or a search is
 an ``unfold`` of its rounds whose last step may hand over to a racer.
 A ``Later`` is one memo cell: it holds its step's code until its cut,
 and then the rest or a run before it.  One loop, ``_skip``, steps every
@@ -314,6 +314,8 @@ def _drop(gen: Generator[int, int, Delay[A]], budget: int) -> tuple[Delay[A], in
 def fmap(f: Callable[[A], B], x: Delay[A]) -> Delay[B]:
     """Apply a pure function under the steps; step count is preserved."""
     # Not left to ``bind``: ``fix`` maps over many never iterates, and this skips a closure.
+    # Without these two cases a mix of ``fix`` runs (factorial, McCarthy 91, Ackermann,
+    # division) and a 290-deep tower took 32 ms against 25 ms (best of 30, 2-core host).
     if x is _NEVER:
         return _NEVER
     if isinstance(x, Now):

@@ -32,7 +32,7 @@ import sys
 from itertools import count
 from typing import Callable, Iterator, Optional, Sequence, Tuple
 
-from .delay import Again, Delay, Now, _check_fuel, _Record, bind, strict_tuple, unfold
+from .delay import Again, Delay, Now, _check_fuel, _natural, _Record, bind, strict_tuple, unfold
 
 __all__ = [
     "RecCode",
@@ -214,6 +214,10 @@ def evaluate(code: RecCode, args: Sequence[Delay[int]]) -> Delay[int]:
     whose step is ``_next``: a code without ``M`` returns at its first
     step, inside ``unfold``.  A cut takes failed probes in one resume,
     memoised so that each runs once; an exception in a cut closes the node.
+    A forced value that is not an integer raises ``TypeError``, and a
+    negative one ``ValueError``, where the tuple is forced: at the call
+    if every argument is a value, else at the step that forces the last
+    one still delayed.
     """
     emitter = _Emitter()
     n, (chunks, atom, _) = _walk(code, emitter.combine)
@@ -229,7 +233,12 @@ def evaluate(code: RecCode, args: Sequence[Delay[int]]) -> Delay[int]:
     # A generated function left in the globals it runs in would be a cycle.  Since
     # Python 3.10 a function keeps the builtins it was defined with, so ``range`` resolves.
     ns.clear()
-    return bind(lambda vs: unfold(run(vs), _next), strict_tuple(xs))
+    return bind(lambda vs: unfold(run(_naturals(vs)), _next), strict_tuple(xs))
+
+
+def _naturals(vs: Sequence[int]) -> Tuple[int, ...]:
+    # Argument values as ``int``s: ``TypeError`` unless integers, ``ValueError`` if negative.
+    return tuple([_natural(v, "arguments must be non-negative") for v in vs])
 
 
 def _next(gen) -> Again | Now:
@@ -364,10 +373,12 @@ def oracle_eval(code: RecCode, args: Sequence[int], fuel: int) -> Optional[int]:
 
     Independent of the delay machinery: plain recursion over plain
     integers.  Returns the value, or ``None`` once the budget runs out.
+    An argument that is not an integer raises ``TypeError``, and a
+    negative one ``ValueError``, before any step.
     """
     _check_fuel(fuel)
     n = arity(code)
-    vals = tuple(args)
+    vals = _naturals(args)
     if len(vals) != n:
         raise ValueError(f"arity mismatch: code takes {n} arguments, got {len(vals)}")
     budget = _Budget(fuel)

@@ -194,6 +194,23 @@ class TestCheckLaws:
             "LAW strength-multiplication Holds holds=27 unknown=3\n"
         )
 
+    def test_a_failing_law_is_reported_with_its_counterexample(self, monkeypatch):
+        import copartial.laws as laws
+
+        def broken_bind(f, x):
+            # corrupts the value after the real extension
+            return laws.fmap(lambda v: v + 1, laws.bind(f, x))
+
+        real = laws.check_kleisli_laws
+        monkeypatch.setattr(laws, "check_kleisli_laws",
+                            lambda *args: real(*args, bind_impl=broken_bind))
+        code, out, _ = run_cli("--machine", "check-laws", "--samples", "30")
+        assert code == 1
+        failed = [line for line in out.splitlines() if " FAILS " in line]
+        assert failed
+        assert all(line.startswith("LAW kleisli-") and " FAILS counterexample=" in line
+                   and not line.endswith("=None") for line in failed)
+
 
 class TestDeterminism:
     def test_demos_byte_identical_across_runs(self):
@@ -214,6 +231,20 @@ class TestRejectedInput:
         assert code == 1
         assert out == ""
         assert err.startswith("error:")
+
+    def test_negative_fuel(self):
+        code, out, err = run_cli("--machine", "--fuel", "-1", "demo", "nest")
+        assert (code, out, err) == (1, "", "error: fuel must be non-negative\n")
+
+    def test_unknown_subcommand(self, capsys):
+        code, out, _ = run_cli("--machine", "frobnicate")
+        assert code == 1 and out == ""
+        assert "invalid choice: 'frobnicate'" in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        code, out, _ = run_cli("--help")
+        assert (code, out) == (0, "")
+        assert capsys.readouterr().out.startswith("usage: copartial")
 
     def test_nesting_too_deep(self):
         levels = MAX_NESTING + 1

@@ -12,7 +12,7 @@ from copartial import (
     run_for, strict_pair, unfold, Again, Done,
 )
 from copartial.lazy import succ
-from copartial.delay import _drop, _gen, _run_node
+from copartial.delay import Now, _drop, _gen, _Run, _run_node
 from copartial.nested import DevilSpec, cnest, cps_fix, devil, mccarthy91_devil_spec
 
 FUEL = 10_000
@@ -69,6 +69,15 @@ class TestNest:
     def test_cnest_examples(self):
         assert run_for(cnest(3, 2), FUEL) == Converged(0, 8)
         assert run_for(cnest(0, 0), FUEL) == Converged(0, 0)
+
+    def test_cnest_is_one_run_node(self):
+        # The counter machine's run has a length known when it is built: 2n + m.
+        for n, m in [(3, 2), (0, 1), (10**12, 3)]:
+            d = cnest(n, m)
+            assert type(d) is Later and type(d._thunk) is _Run
+            steps, tail = d._thunk
+            assert (steps, type(tail), tail.value) == (2 * n + m, Now, 0)
+        assert type(cnest(4, 0)) is Now and cnest(4, 0).value == 4
 
     def test_cnest_matches_iterated_oracle(self):
         # m-fold self application computed by an unfold oracle
@@ -284,7 +293,8 @@ class TestBindLoops:
 
 
 class TestGenerators:
-    """``cnest`` and ``cps_fix`` are generators, cut in bulk by ``_drop``."""
+    """``cps_fix``, a generator cut in bulk by ``_drop``, and ``cnest``, a
+    run cut in O(1), against unfolds of their steps."""
 
     @given(st.integers(0, 40), st.integers(0, 6))
     def test_cnest_matches_an_unfold_of_its_step(self, n, m):

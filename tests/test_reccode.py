@@ -178,6 +178,52 @@ class TestAgainstOracle:
         with pytest.raises(ValueError, match="fuel must be non-negative"):
             oracle_eval(CORPUS["plus"], [1, 2], -1)
 
+    def test_oracle_rejects_an_arity_mismatch(self):
+        with pytest.raises(ValueError, match="arity mismatch"):
+            oracle_eval(CORPUS["plus"], [1], 100)
+
+
+# Argument values that are not naturals, and the error each raises.
+NOT_NATURALS = [
+    ("ident_by_min", (-4,), ValueError),
+    ("plus", (-3, 2), ValueError),
+    ("plus", (2.0, 3), TypeError),
+    ("mult", (2.0, 3), TypeError),
+    ("pred", ("1",), TypeError),
+]
+
+
+class TestArgumentValues:
+    """Both evaluators take naturals only: ``TypeError`` for a value that
+    is not an integer, ``ValueError`` for a negative one, raised before
+    any generated code runs or the oracle takes a step."""
+
+    @staticmethod
+    def raises_outside_the_code(error, f, *args):
+        with pytest.raises(error, match=None if error is TypeError else "must be non-negative") as info:
+            f(*args)
+        tb = info.tb
+        while tb is not None:
+            code = tb.tb_frame.f_code
+            assert code.co_filename != "<reccode>" and code.co_name != "_oracle"
+            tb = tb.tb_next
+
+    @pytest.mark.parametrize("name, args, error", NOT_NATURALS)
+    def test_evaluate_rejects_a_ready_argument_at_the_call(self, name, args, error):
+        self.raises_outside_the_code(error, evaluate, CORPUS[name], [now(v) for v in args])
+
+    @pytest.mark.parametrize("name, args, error", NOT_NATURALS)
+    def test_evaluate_rejects_a_delayed_argument_at_the_step_that_forces_it(
+            self, name, args, error):
+        d = evaluate(CORPUS[name], [delay_by(v, 3) for v in args])
+        steps = 3 * len(args)
+        assert isinstance(run_for(d, steps - 1), Exhausted)
+        self.raises_outside_the_code(error, run_for, d, steps)
+
+    @pytest.mark.parametrize("name, args, error", NOT_NATURALS)
+    def test_oracle_rejects_it_at_entry(self, name, args, error):
+        self.raises_outside_the_code(error, oracle_eval, CORPUS[name], args, 100)
+
 
 class TestConcreteSyntax:
     def test_round_trip_corpus(self):
