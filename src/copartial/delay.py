@@ -15,7 +15,9 @@ a node (an ``unfold`` and ``nested``'s ``cps_fix``), and an exception
 that escapes a cut closes it for good.  A race or a search is
 an ``unfold`` of its rounds whose last step may hand over to a racer.
 A ``Later`` is one memo cell: it holds its step's code until its cut,
-and then the rest or a run before it.  One loop, ``_skip``, steps every
+and then the rest or a run before it.  A node of one step holds its rest
+from the start, as a one-step cut leaves it, so a run is of two steps
+or more however it was made.  One loop, ``_skip``, steps every
 node: it runs each cell's code and peels past its node through the
 consecutive nodes of the first node's class until its budget is spent
 or the class changes, cutting a run, a generator or a knot (a cell that
@@ -99,14 +101,16 @@ class Later(Delay[A]):
     rest: a closure, a generator primed by ``_gen``, a ``_Run`` or a
     ``_Bind``.  After it, it holds the rest (so ``Later(d)`` for a ``Delay``
     ``d`` is forced to ``d``, and a knot holds itself) or a ``_Run`` of the
-    steps taken before the rest.  Every step of one cut has the class of
-    the node cut, so a subclass (``lazy``'s successor) tags its steps.  A
-    forced chain holds no more than its live state: the cut overwrites
-    the code, so a node reaches neither what its closure captured nor the
-    nodes the cut passed; and a step closure must never reach its own
-    function (no nested function that calls itself): the function and its
-    closure cell would form a cycle that keeps the computation's whole
-    state alive until the cycle collector runs.
+    steps taken before the rest.  A node of one step is built as that
+    memo: ``delay_by(v, 1)`` is ``Later(Now(v))``, not a run of one.
+    Every step of one cut has the class of the node cut, so a subclass
+    (``lazy``'s successor) tags its steps.  A forced chain holds no more
+    than its live state: the cut overwrites the code, so a node reaches
+    neither what its closure captured nor the nodes the cut passed; and a
+    step closure must never reach its own function (no nested function
+    that calls itself): the function and its closure cell would form a
+    cycle that keeps the computation's whole state alive until the cycle
+    collector runs.
     """
 
     __slots__ = ("_thunk",)
@@ -209,10 +213,14 @@ def never() -> Delay[Any]:
 
 
 def delay_by(value: A, steps: int) -> Delay[A]:
-    """``value`` behind exactly ``steps`` computation steps, as one node."""
+    """``value`` behind exactly ``steps`` computation steps, as one node.
+
+    The node's cell holds a run of ``steps`` before ``Now(value)``, or, for
+    one step, ``Now(value)`` itself, as a cut of one step leaves a cell.
+    """
     # A positive ``int`` skips ``_run_node``'s check: each step of a bind loop over ``delay_by`` builds one.
     if type(steps) is int and steps > 0:
-        return Later(_Run((steps, Now(value))))
+        return Later(_Run((steps, Now(value))) if steps > 1 else Now(value))
     return _run_node(Later, steps, Now(value))
 
 
@@ -226,15 +234,16 @@ def _natural(n: int, negative: str) -> int:
 
 def _run_node(cls: type, n: int, tail: Delay[A],
               negative: str = "steps must be non-negative") -> Delay[A]:
-    # ``n`` steps of class ``cls`` before ``tail``: one node, or ``tail`` itself if ``n`` is 0.
+    # ``n`` steps of class ``cls`` before ``tail``: one node whose cell holds a run, or ``tail``
+    # itself if ``n`` is 1; ``tail`` alone if ``n`` is 0.
     n = _natural(n, negative)
-    return cls(_Run((n, tail))) if n else tail
+    return cls(_Run((n, tail)) if n > 1 else tail) if n else tail
 
 
 class _Run(tuple):
-    """The cell ``(n, tail)`` of a node that stands for ``n`` >= 1 steps of
+    """The cell ``(n, tail)`` of a node that stands for ``n`` >= 2 steps of
     the node's class before ``tail``; ``_skip`` peels up to a budget of
-    them at once, in O(1)."""
+    them at once, in O(1).  A node of one step holds ``tail`` itself."""
 
     __slots__ = ()
 
@@ -381,9 +390,14 @@ def _skip(x: Later, budget: int) -> tuple[Delay, int]:
     spine holds ``x``, which it leaves for the next cut.  A run or a
     generator is cut in one go, and a knot, such as ``never()``, is a run
     without end that takes the rest of the budget at once; a closure or a
-    cell that holds a node is one step.  A bind node opens its left spine,
-    cuts the head there as one node (so a head that steps into further
-    binds adds no host frame) and feeds the rest to its continuations.
+    cell that holds a node is one step.  A run cut short leaves the rest
+    of its steps as a node of its class, which holds the run's tail itself
+    if one step is left, so no cell holds a run of fewer than two steps.
+    A bind node opens its left spine, cuts the head there as one node (so
+    a head that steps into further binds adds no host frame) and feeds
+    the rest to its continuations: a value straight to a lone
+    continuation, with ``bind``'s check on what it returns, and anything
+    else through ``bind``.
 
     The memo rules make a thunk run once per step, however often its
     node is run.  A node cut on its own by ``j`` steps gets the rest in
@@ -419,7 +433,7 @@ def _skip(x: Later, budget: int) -> tuple[Delay, int]:
                 n, rest = t
                 j = budget - k
                 if n > j:
-                    rest = type(node)(_Run((n - j, rest)))
+                    rest = type(node)(_Run((n - j, rest)) if n - j > 1 else rest)
                 else:
                     j = n
                 changed = j == 1
@@ -435,7 +449,14 @@ def _skip(x: Later, budget: int) -> tuple[Delay, int]:
             if ks is not None:
                 if changed and type(t) is not _Run:
                     _memo(node, j, rest)
-                rest, changed = bind(ks, rest), True
+                if type(rest) is Now and type(ks) is not tuple:
+                    # Direct feed: one continuation, with ``bind``'s checks on what it returns.
+                    rest = ks(rest.value)
+                    if type(rest) is not cls and not isinstance(rest, (Now, Later)):
+                        raise _not_delay(rest)
+                else:
+                    rest = bind(ks, rest)
+                changed = True
             k += j
             if changed and y is not x:
                 y._thunk = rest if j == 1 else _Run((j, rest))

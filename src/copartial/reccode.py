@@ -223,7 +223,7 @@ def evaluate(code: RecCode, args: Sequence[Delay[int]]) -> Delay[int]:
     n, (chunks, atom, _) = _walk(code, emitter.combine)
     xs = tuple(args)
     if len(xs) != n:
-        raise ValueError(f"arity mismatch: code takes {n} arguments, got {len(xs)}")
+        raise _arity_mismatch(n, len(xs))
     params = [emitter.fresh() for _ in range(n)]
     body = [f"[{', '.join(params)}] = vs", *chunks, f"return {atom}"]
     top = emitter.define(["vs"], "\n".join(body).format(*params))
@@ -234,6 +234,10 @@ def evaluate(code: RecCode, args: Sequence[Delay[int]]) -> Delay[int]:
     # Python 3.10 a function keeps the builtins it was defined with, so ``range`` resolves.
     ns.clear()
     return bind(lambda vs: unfold(run(_naturals(vs)), _next), strict_tuple(xs))
+
+
+def _arity_mismatch(n: int, got: int) -> ValueError:
+    return ValueError(f"arity mismatch: code takes {n} argument{'s' * (n != 1)}, got {got}")
 
 
 def _naturals(vs: Sequence[int]) -> Tuple[int, ...]:
@@ -380,7 +384,7 @@ def oracle_eval(code: RecCode, args: Sequence[int], fuel: int) -> Optional[int]:
     n = arity(code)
     vals = _naturals(args)
     if len(vals) != n:
-        raise ValueError(f"arity mismatch: code takes {n} arguments, got {len(vals)}")
+        raise _arity_mismatch(n, len(vals))
     budget = _Budget(fuel)
     try:
         return _oracle(code, vals, budget)

@@ -29,8 +29,9 @@ from copartial import (
     unfold,
 )
 from copartial import delay
-from copartial.delay import Delay, _skip
+from copartial.delay import Delay, Now, _skip
 from copartial.lazy import Ended, lazy_le, lazy_of, lazy_plus, observe, step, succ
+from copartial.nested import cnest
 from copartial.reccode import CORPUS, oracle_eval
 from tests.conftest import finite_delays
 
@@ -629,3 +630,147 @@ class TestStepAdditivity:
             assert isinstance(rest, Converged)
             assert rest.value == full.value
             assert rest.steps + n == full.steps
+
+
+def cells(*heads):
+    """Every node cell reachable from ``heads`` through forced tails, runs
+    and bind heads; a closure or a generator ends a path."""
+    seen, todo = set(), list(heads)
+    while todo:
+        x = todo.pop()
+        if not isinstance(x, delay.Later) or id(x) in seen:
+            continue
+        seen.add(id(x))
+        t = x._thunk
+        yield t
+        if type(t) is delay._Run:
+            todo.append(t[1])
+        elif type(t) is delay._Bind:
+            todo.append(t[0])
+        elif isinstance(t, Delay):
+            todo.append(t)
+
+
+def right_loop(n, s, v):
+    """``v`` after ``n`` rounds of ``delay_by(k, s) >>= (lambda _: loop(k - 1))``."""
+    return now(v) if n == 0 else bind(lambda _: right_loop(n - 1, s, v), delay_by(n, s))
+
+
+def left_loop(n, s):
+    """``n`` after ``n`` binds nested to the left over ``delay_by(0, s)``."""
+    x = delay_by(0, s)
+    for _ in range(n):
+        x = bind(lambda v: delay_by(v + 1, s), x)
+    return x
+
+
+class Odd(Delay):
+    """A ``Delay`` that is neither a ``Now`` nor a ``Later``."""
+
+    __slots__ = ()
+
+    def __init__(self):
+        pass
+
+
+class TestOneStepNodes:
+    """A node of one step holds its rest in its cell, as a one-step cut leaves
+    it; so every run in a cell is of two steps or more."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: delay_by(7, 1),
+        lambda: lazy_of(1),
+        lambda: cnest(0, 1),
+        lambda: run_for(delay_by(7, 3), 2).rest,
+    ], ids=["delay_by", "lazy_of", "cnest", "delay_by-3-cut-by-2"])
+    def test_a_one_step_node_holds_its_rest(self, make):
+        x = make()
+        assert isinstance(x, delay.Later) and type(x._thunk) is Now
+        assert x.rest() is x._thunk
+        assert run_for(x, 1).steps == 1
+
+    def test_a_run_cut_short_keeps_what_it_holds(self):
+        x = delay_by(7, 3)
+        rest = run_for(x, 2).rest
+        assert type(x._thunk) is delay._Run and x._thunk[0] == 3
+        assert type(rest) is delay.Later and rest._thunk.value == 7
+        assert run_for(x, 3) == Converged(7, 3) and run_for(rest, 1) == Converged(7, 1)
+
+    def test_no_cell_holds_a_run_of_fewer_than_two_steps_after_any_cut(self):
+        makers = [lambda s=s: delay_by(5, s) for s in range(5)]
+        makers += [lambda s=s: lazy_of(s) for s in range(5)]
+        makers += [lambda s=s: cnest(s % 2, s // 2) for s in range(6)]
+        makers += [lambda s=s: right_loop(4, s, 9) for s in range(4)]
+        makers += [lambda s=s: left_loop(4, s) for s in range(4)]
+        makers += [lambda s=s: fmap(str, fmap(abs, delay_by(-3, s))) for s in range(4)]
+        makers += [lambda s=s: strict_pair(delay_by(1, s), right_loop(2, s, 0)) for s in range(4)]
+        makers += [lambda s=s: race(delay_by(1, s + 1), delay_by(2, 2 * s)) for s in range(4)]
+        makers += [lambda s=s: unfold(s, lambda k: Again(k - 1) if k else now(0)) for s in range(4)]
+        for make in makers:
+            total = run_for(make(), 100).steps
+            for fuel in range(total + 2):
+                x = make()
+                heads = [x]
+                r = run_for(x, fuel)
+                while isinstance(r, Exhausted):
+                    heads.append(r.rest)
+                    r = run_for(r.rest, 1)
+                r = run_for(x, fuel // 2)
+                if isinstance(r, Exhausted):
+                    heads.append(r.rest)
+                runs = [t for t in cells(*heads) if type(t) is delay._Run]
+                assert all(n >= 2 for n, _ in runs), (total, fuel, runs)
+
+
+class TestDirectFeed:
+    """A bind's head cut to a value is fed to one continuation with ``bind``'s checks."""
+
+    @pytest.mark.parametrize("got, name", [(lambda v: [v], "list"), (lambda v: Odd(), "Odd")],
+                             ids=["list", "Odd"])
+    @pytest.mark.parametrize("steps", [1, 2, 3])
+    @pytest.mark.parametrize("nested", [False, True], ids=["one", "tree"])
+    def test_a_continuation_that_returns_no_now_or_later_raises_at_its_step_each_run(
+            self, got, name, steps, nested):
+        x = bind(got, delay_by(0, steps))
+        if nested:
+            x = bind(now, x)
+        with pytest.raises(TypeError, match=f"expected a Delay, got {name}$"):
+            bind(got, now(0))
+        assert isinstance(run_for(x, steps - 1), Exhausted)
+        for _ in range(2):
+            with pytest.raises(TypeError, match=f"expected a Delay, got {name}$"):
+                run_for(x, steps + 5)
+
+    @pytest.mark.parametrize("make", [now, lambda v: delay_by(v, 2), lambda v: succ(now(v)),
+                                      lambda v: step(lambda: now(v))],
+                             ids=["now", "delay_by", "succ", "step"])
+    def test_a_continuation_may_return_any_now_or_later(self, make):
+        x = bind(make, delay_by(3, 1))
+        want = run_for(bind(make, now(3)), 10)
+        assert run_for(x, 10) == Converged(want.value, want.steps + 1)
+
+
+class TestBindLoopSteps:
+    """Right- and left-nested bind loops over ``delay_by(k, s)``, at every
+    fuel up to three times their steps, each ``Exhausted`` rest resumed."""
+
+    @pytest.mark.parametrize("s", range(4))
+    @pytest.mark.parametrize("n", range(5))
+    @pytest.mark.parametrize("side", ["right", "left"])
+    def test_step_counts(self, side, n, s):
+        make, value, total = ((lambda: right_loop(n, s, 11), 11, n * s) if side == "right"
+                              else (lambda: left_loop(n, s), n, (n + 1) * s))
+        kept = make()
+        for fuel in range(3 * total + 1):
+            for x in (make(), kept):
+                r = run_for(x, fuel)
+                if fuel >= total:
+                    assert r == Converged(value, total)
+                    continue
+                assert isinstance(r, Exhausted)
+                for more in range(total - fuel + 2):
+                    again = run_for(r.rest, more)
+                    if more >= total - fuel:
+                        assert again == Converged(value, total - fuel)
+                    else:
+                        assert isinstance(again, Exhausted)

@@ -182,6 +182,17 @@ class TestAgainstOracle:
         with pytest.raises(ValueError, match="arity mismatch"):
             oracle_eval(CORPUS["plus"], [1], 100)
 
+    @pytest.mark.parametrize("name, args, says", [
+        ("pred", [1, 2], "code takes 1 argument, got 2"),
+        ("plus", [1], "code takes 2 arguments, got 1"),
+        ("plus", [1, 2, 3], "code takes 2 arguments, got 3"),
+    ])
+    def test_an_arity_mismatch_names_the_count_in_number(self, name, args, says):
+        with pytest.raises(ValueError, match=f"^arity mismatch: {says}$"):
+            oracle_eval(CORPUS[name], args, 100)
+        with pytest.raises(ValueError, match=f"^arity mismatch: {says}$"):
+            evaluate(CORPUS[name], [now(a) for a in args])
+
 
 # Argument values that are not naturals, and the error each raises.
 NOT_NATURALS = [
