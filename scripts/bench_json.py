@@ -7,7 +7,8 @@
 The first form runs ``perfbench/run.py --workload all --seed 4242`` for
 the seconds per workload that ``BENCHMARK.json`` sets, and saves the last
 line of its output, one JSON object, with the commit it ran at, the
-Python version, the seed and the seconds added.  It then adds
+Python version, the seed and the seconds added; the commit is marked
+``-dirty`` if the tree has changes other than the saved file.  It then adds
 ``<workload>.rss_mb_at_ops`` for each in-process workload: the peak RSS
 of a fresh process that runs the first ``RSS_OPS`` ops of the workload at
 that seed through ``perfbench/workloads.py``.  The run's own
@@ -79,14 +80,30 @@ def save(path: str) -> int:
         sys.stderr.write(run.stderr)
         return run.returncode
     result = json.loads(run.stdout.splitlines()[-1])
-    commit = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True)
-    result.update(commit=commit.stdout.strip() or None, python=platform.python_version(),
+    head, status = (subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True).stdout
+                    for args in (["rev-parse", "HEAD"], ["status", "--porcelain"]))
+    out = Path(path).resolve()
+    saved = out.relative_to(ROOT).as_posix() if ROOT in out.parents else None
+    result.update(commit=commit_label(head, status, saved), python=platform.python_version(),
                   seed=SEED, seconds=seconds, rss_ops=RSS_OPS)
     for workload in RSS_WORKLOADS:
         result["metrics"][f"{workload}.rss_mb_at_ops"] = {
             "value": rss_mb_at_ops(workload), "unit": "MB"}
     Path(path).write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
     return 0
+
+
+def commit_label(head: str, status: str, saved: str | None) -> str | None:
+    """A save's ``commit``: ``head``, as ``git rev-parse HEAD`` prints it,
+    with ``-dirty`` appended if ``status``, as ``git status --porcelain``
+    prints it, lists a path other than ``saved``, the saved file's path
+    from the root of the tree; ``None`` if ``head`` is empty.  So a save of
+    a change made before it is committed does not name its parent."""
+    head = head.strip()
+    if not head:
+        return None
+    paths = {p for line in status.splitlines() if line for p in line[3:].split(" -> ")}
+    return head + "-dirty" if paths - {saved} else head
 
 
 def rss_mb_at_ops(workload: str, ops: int = RSS_OPS) -> float:

@@ -6,7 +6,8 @@ peeling a single constructor always terminates, so a fuel-bounded runner
 can observe any ``Delay`` safely; binds nested to any depth re-associate
 as they step, so a peel costs amortised O(1) host work and stack, and a
 race round O(live racers), with no host nesting.  A bind node has the
-class of the step it runs, so tagged steps keep their tags.
+class of the step it runs, so tagged steps keep their tags, and its cell
+is the plain pair of that step and its continuations.
 ``delay_by(v, n)`` is one node for its whole run of ``n`` steps, and
 the private ``_gen`` makes one node over a generator: each resume is
 sent the steps it may take and yields the steps it took, and the
@@ -98,11 +99,13 @@ class Later(Delay[A]):
 
     The node is one memo cell, ``_thunk``, and ``_skip``, the one stepping
     loop, runs what it holds.  Before the cut it holds the code for the
-    rest: a closure, a generator primed by ``_gen``, a ``_Run`` or a
-    ``_Bind``.  After it, it holds the rest (so ``Later(d)`` for a ``Delay``
-    ``d`` is forced to ``d``, and a knot holds itself) or a ``_Run`` of the
-    steps taken before the rest.  A node of one step is built as that
-    memo: ``delay_by(v, 1)`` is ``Later(Now(v))``, not a run of one.
+    rest: a closure, a generator primed by ``_gen``, a ``_Run`` or a bind's
+    plain pair ``(x, ks)``, as any other tuple is read (``TypeError`` at its
+    step if not a pair headed by a ``Later``).  After it, it holds the rest
+    (so ``Later(d)`` for a ``Delay`` ``d`` is forced to ``d``, and a knot
+    holds itself) or a ``_Run`` of the steps taken before the rest.  A
+    node of one step is built as that memo: ``delay_by(v, 1)`` is
+    ``Later(Now(v))``, not a run of one.
     Every step of one cut has the class of the node cut, so a subclass
     (``lazy``'s successor) tags its steps.  A forced chain holds no more
     than its live state: the cut overwrites the code, so a node reaches
@@ -338,10 +341,13 @@ def bind(f: Callable[[A], Delay[B]], x: Delay[A]) -> Delay[B]:
     Step counts add; if ``x`` diverges the result diverges.  Nested binds
     re-associate when they are stepped, so each step costs amortised O(1)
     host work and stack, however deeply the binds nest on either side.
-    A bind node keeps the class of the head whose step it runs.
-    ``TypeError`` if ``x``, or a value ``f`` returns, is not a ``Delay``;
-    the latter is raised at the step where ``f`` is called.  ``f`` may
-    also be a tree of continuations, as ``_Bind`` says: ``_skip`` feeds a
+    A bind node keeps the class of the head whose step it runs, and its
+    cell holds the plain pair ``(x, ks)``: one step of ``x``, then the
+    continuations ``ks``, a continuation or a pair of such trees whose
+    leaves apply left to right, so a nested bind's continuations are put
+    in front of ``ks`` in O(1).  ``TypeError`` if ``x``, or a value ``f``
+    returns, is not a ``Delay``; the latter is raised at the step where
+    ``f`` is called.  ``f`` may also be such a tree: ``_skip`` feeds a
     bind's head, once it is a value, to its tree this way.
     """
     # Feed ``x``, while it is a value, to the tree's leftmost continuation,
@@ -357,16 +363,7 @@ def bind(f: Callable[[A], Delay[B]], x: Delay[A]) -> Delay[B]:
         x = k(x.value)
     if not isinstance(x, Later):
         raise _not_delay(x)
-    return x if x is _NEVER or ks is None else type(x)(_Bind((x, ks)))
-
-
-class _Bind(tuple):
-    """The thunk ``(x, ks)`` of a node made by ``bind``, of ``x``'s class:
-    one step of ``x``, then the continuations ``ks``.  ``ks`` is a
-    continuation or a pair of such trees, whose leaves apply left to right;
-    so a nested bind's continuations are put in front of ``ks`` in O(1)."""
-
-    __slots__ = ()
+    return x if x is _NEVER or ks is None else type(x)((x, ks))
 
 
 def _not_delay(x: Any, expected: str = "a Delay") -> TypeError:
@@ -393,11 +390,11 @@ def _skip(x: Later, budget: int) -> tuple[Delay, int]:
     cell that holds a node is one step.  A run cut short leaves the rest
     of its steps as a node of its class, which holds the run's tail itself
     if one step is left, so no cell holds a run of fewer than two steps.
-    A bind node opens its left spine, cuts the head there as one node (so
-    a head that steps into further binds adds no host frame) and feeds
-    the rest to its continuations: a value straight to a lone
-    continuation, with ``bind``'s check on what it returns, and anything
-    else through ``bind``.
+    A bind node, whose cell is the pair ``(head, ks)``, opens its left
+    spine of such pairs, cuts the head there as one node (so a head that
+    steps into further binds adds no host frame) and feeds the rest to
+    its continuations: a value straight to a lone continuation, with
+    ``bind``'s check on what it returns, and anything else through ``bind``.
 
     The memo rules make a thunk run once per step, however often its
     node is run.  A node cut on its own by ``j`` steps gets the rest in
@@ -419,13 +416,16 @@ def _skip(x: Later, budget: int) -> tuple[Delay, int]:
     try:
         while True:
             node, t, ks = y, y._thunk, None
-            if type(t) is _Bind:
+            if type(t) is tuple:
                 # Open unforced bind nodes, not force them: a left chain is walked once.
-                node, ks = t
-                t = node._thunk
-                while type(t) is _Bind and node is not x:
-                    node, inner = t
-                    ks, t = (inner, ks), node._thunk
+                try:
+                    node, ks = t
+                    t = node._thunk
+                    while type(t) is tuple and node is not x:
+                        node, inner = t
+                        ks, t = (inner, ks), node._thunk
+                except (ValueError, AttributeError):
+                    raise TypeError("a tuple thunk must be a bind pair (Later, continuations)") from None
                 if node is x:  # ``x`` is not memoised yet: end the cut before ``y``
                     rest = y
                     break

@@ -134,54 +134,50 @@ def lazy_le(x: LazyNat, y: LazyNat, fuel: int) -> Verdict:
         spent += k
 
 
-# The sloth pair's levels, ``_F[k]`` = f(k) and ``_G[k]`` = g(k), built
-# bottom-up.  Building level k only ever consults levels below k: the guard
-# of g(k) peels at most k-1 constructors of f(k-1), and whenever f(k-1)'s
-# tail jumps to a higher level the lower part already supplies more
-# constructors than the guard can ask for.  Higher levels are demanded
-# only while observing a result, when no level is under construction.
-_F: list[LazyNat] = [ZERO]
-_G: list[LazyNat] = [ZERO]
-
 _NEGATIVE = "sloth arguments must be non-negative"
 
 
-def _grow(n: int) -> int:
-    # Check ``n``, build the levels up to it and return it.
-    n = _natural(n, _NEGATIVE)
-    # Iterative so that large levels, reached when a deep observation
-    # crosses into a tower's tail, do not nest host stack frames.  Each
-    # deferred tail binds its own level (a default argument), not the
-    # loop's last one.
-    while len(_F) <= n:
-        m = len(_F) - 1
-        fm, gm = _F[m], _G[m]
+def sloth_f(n: int) -> LazyNat:
+    """Lazy evaluation of the first sloth function at a plain natural."""
+    return _level(([ZERO], [ZERO]), _natural(n, _NEGATIVE), 0)
+
+
+def sloth_g(n: int) -> LazyNat:
+    """Lazy evaluation of the second sloth function at a plain natural."""
+    return _level(([ZERO], [ZERO]), _natural(n, _NEGATIVE), 1)
+
+
+def _level(levels: tuple[list, list], n: int, which: int) -> LazyNat:
+    # Level ``n`` of one call's sloth pair, ``levels = (F, G)`` with ``F[k]``
+    # = f(k) and ``G[k]`` = g(k), built bottom-up.  Each top-level call has
+    # its own tables, closed over by its deferred tails: a cycle, which the
+    # cycle collector frees once the call's result is dropped.  Building
+    # level k only ever consults levels below k: the guard of g(k) peels at
+    # most k-1 constructors of f(k-1), and whenever f(k-1)'s tail jumps to a
+    # higher level the lower part already supplies more constructors than
+    # the guard can ask for.  Higher levels are demanded only while
+    # observing a result, when no level is under construction.  Iterative
+    # so that large levels, reached when a deep observation crosses into a
+    # tower's tail, do not nest host stack frames.  Each deferred tail binds
+    # its own level (a default argument), not the loop's last one.
+    F, G = levels
+    while len(F) <= n:
+        m = len(F) - 1
+        fm, gm = F[m], G[m]
         # f (succ m) = f (g m) + g m.  The recursive call's argument is the
         # value of g(m).  It is only needed once gm's own constructors are
         # exhausted, and at that point gm is known finite and can be drained
         # by one ``observe`` whose fuel no level's run comes near.
-        _F.append(bind(lambda _, gm=gm: sloth_f(observe(gm, sys.maxsize)[0]), gm))
+        F.append(bind(lambda _, gm=gm: _level(levels, observe(gm, sys.maxsize)[0], 0), gm))
         # g (succ m) = g (f m) + m  if f m <= m,  else 0.  The sloth builds
         # no plain steps, so m peels of fm either reach its end, with v = f m,
         # or leave a successor more (f m > m).  Refutation only peels finitely
         # many constructors of fm, which lets g(14) answer although f(13)
         # never finishes.
         v, ended = observe(fm, m)
-        if ended is Ended.ZERO:
-            _G.append(bind(lambda _, v=v: sloth_g(v), lazy_of(m)))
-        else:
-            _G.append(ZERO)
-    return n
-
-
-def sloth_f(n: int) -> LazyNat:
-    """Lazy evaluation of the first sloth function at a plain natural."""
-    return _F[_grow(n)]
-
-
-def sloth_g(n: int) -> LazyNat:
-    """Lazy evaluation of the second sloth function at a plain natural."""
-    return _G[_grow(n)]
+        G.append(bind(lambda _, v=v: _level(levels, v, 1), lazy_of(m))
+                 if ended is Ended.ZERO else ZERO)
+    return levels[which][n]
 
 
 # Strict transcription over Delay[int]: a step per call and per return.

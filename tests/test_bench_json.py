@@ -144,7 +144,7 @@ def test_each_child_runs_in_a_fresh_copy_without_bytecode(tmp_path, monkeypatch)
 
     def fake_run(argv, cwd, **kwargs):
         if argv[0] == "git":
-            return subprocess.CompletedProcess(argv, 0, "abc\n", "")
+            return subprocess.CompletedProcess(argv, 0, "abc\n" if "rev-parse" in argv else "", "")
         tree = Path(cwd)
         trees.append(tree)
         assert argv[0] == sys.executable
@@ -164,3 +164,41 @@ def test_each_child_runs_in_a_fresh_copy_without_bytecode(tmp_path, monkeypatch)
     assert len(set(trees)) == len(trees) == 1 + len(bench_json.RSS_WORKLOADS)
     assert not any(tree.exists() for tree in trees)
     assert (root / "src/copartial/__pycache__").is_dir()
+
+
+@pytest.mark.parametrize("status, saved, commit", [
+    ("", "BENCH_9.json", "abc"),
+    ("?? BENCH_9.json\n", "BENCH_9.json", "abc"),
+    (" M BENCH_9.json\n", "BENCH_9.json", "abc"),
+    (" M src/copartial/delay.py\n?? BENCH_9.json\n", "BENCH_9.json", "abc-dirty"),
+    ("?? notes.txt\n", "BENCH_9.json", "abc-dirty"),
+    ("R  BENCH_8.json -> BENCH_9.json\n", "BENCH_9.json", "abc-dirty"),
+    ("?? BENCH_9.json\n", None, "abc-dirty"),
+], ids=["clean", "new-save", "overwritten-save", "changed-source", "untracked", "renamed",
+        "saved-outside"])
+def test_a_commit_is_marked_dirty_when_the_tree_has_other_changes(status, saved, commit):
+    assert bench_json.commit_label("abc\n", status, saved) == commit
+
+
+def test_no_head_is_no_commit():
+    assert bench_json.commit_label("", " M src/copartial/delay.py\n", None) is None
+
+
+@pytest.mark.parametrize("status, commit", [("?? BENCH_9.json\n", "abc"),
+                                            (" M scripts/bench_json.py\n", "abc-dirty")])
+def test_save_marks_its_commit_by_the_status_of_the_rest_of_the_tree(
+        tmp_path, monkeypatch, status, commit):
+    root = tmp_path / "repo"
+    root.mkdir()
+    monkeypatch.setattr(bench_json, "ROOT", root)
+
+    def fake_run(argv, cwd, **kwargs):
+        if argv[0] == "git":
+            return subprocess.CompletedProcess(argv, 0, "abc\n" if "rev-parse" in argv else status, "")
+        out = '{"correct": true, "metrics": {}}' if "perfbench/run.py" in argv else "12.5"
+        return subprocess.CompletedProcess(argv, 0, out + "\n", "")
+
+    monkeypatch.setattr(bench_json.subprocess, "run", fake_run)
+    monkeypatch.chdir(root)
+    assert bench_json.save("BENCH_9.json") == 0
+    assert json.loads((root / "BENCH_9.json").read_text())["commit"] == commit

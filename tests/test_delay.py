@@ -284,6 +284,24 @@ class TestNotADelay:
         with pytest.raises(RuntimeError, match="cannot resume"):
             run_for(search, 10)
 
+    @pytest.mark.parametrize("thunk", [
+        5, (1, 2), (), (now(1), now), (delay_by(0, 1), now, now), (later((1, 2)), now),
+    ], ids=["int", "pair-of-ints", "empty", "now-head", "triple", "bad-inner-head"])
+    @pytest.mark.parametrize("make", [later, succ], ids=["later", "succ"])
+    def test_a_thunk_that_is_neither_code_nor_a_bind_pair_raises_at_its_step_each_run(
+            self, make, thunk):
+        # Any tuple thunk but a run is read as a bind pair; one that is not a
+        # pair headed by a node raises, as a non-callable thunk does.
+        with pytest.raises(TypeError):
+            make(thunk).rest()
+        x = bind(lambda _: make(thunk), delay_by(0, 2))
+        assert isinstance(run_for(x, 2), Exhausted)
+        for _ in range(2):
+            with pytest.raises(TypeError):
+                run_for(x, 10)
+        with pytest.raises(TypeError):
+            observe(x, 10)
+
     def test_an_unfold_step_that_is_neither_again_nor_done_raises_at_its_step(self):
         # The first step is taken when the unfold is built.
         with pytest.raises(TypeError, match="expected Again or Done, got int$"):
@@ -645,7 +663,7 @@ def cells(*heads):
         yield t
         if type(t) is delay._Run:
             todo.append(t[1])
-        elif type(t) is delay._Bind:
+        elif type(t) is tuple:
             todo.append(t[0])
         elif isinstance(t, Delay):
             todo.append(t)
@@ -688,6 +706,17 @@ class TestOneStepNodes:
         assert isinstance(x, delay.Later) and type(x._thunk) is Now
         assert x.rest() is x._thunk
         assert run_for(x, 1).steps == 1
+
+    def test_a_bind_node_holds_a_plain_pair_until_its_cut(self):
+        f = lambda _: delay_by(1, 3)
+        assert type(f(0)._thunk) is delay._Run
+        for head in (delay_by(0, 1), lazy_of(1)):
+            x = bind(f, head)
+            assert type(x) is type(head) and type(x._thunk) is tuple
+            assert x._thunk[0] is head and x._thunk[1] is f and len(x._thunk) == 2
+            rest = run_for(x, 1).rest
+            assert x._thunk is rest and type(rest._thunk) is delay._Run
+            assert run_for(x, 10) == Converged(1, 4)
 
     def test_a_run_cut_short_keeps_what_it_holds(self):
         x = delay_by(7, 3)

@@ -1,14 +1,14 @@
 """Lazy partial naturals and the sloth pair."""
 
+import gc
 from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from copartial import Converged, Exhausted, lazy, run_for
+from copartial import Converged, Delay, Exhausted, lazy, run_for
 from copartial.lazy import (
-    ZERO,
     Ended,
     lazy_le,
     lazy_of,
@@ -167,15 +167,31 @@ class TestSloth:
             sloth_g(-2)
         # Every sloth function checks its argument before it builds any node
         # or level: the strict pair used to step until fuel ran out, and
-        # ``sloth_f(2.5)`` built levels 1-3 before an index raised.
-        monkeypatch.setattr(lazy, "_F", [ZERO])
-        monkeypatch.setattr(lazy, "_G", [ZERO])
+        # ``sloth_f(2.5)`` built levels 1-3 before an index raised.  Every
+        # level and every strict step is built by ``bind`` or ``later``.
+        built = []
+        monkeypatch.setattr(lazy, "bind", lambda *args: built.append(args))
+        monkeypatch.setattr(lazy, "later", lambda *args: built.append(args))
         for sloth in (sloth_f, sloth_g, sloth_strict_f, sloth_strict_g):
             with pytest.raises(ValueError):
                 sloth(-1)
             with pytest.raises(TypeError):
                 sloth(2.5)
-        assert len(lazy._F) == len(lazy._G) == 1
+        assert built == []
+
+    def test_the_levels_of_a_finished_observation_are_freed_with_its_result(self):
+        # Each call has its own level tables, which its deferred tails close
+        # over; nothing else keeps them once the result is dropped.
+        def nodes():
+            gc.collect()
+            return sum(isinstance(o, Delay) for o in gc.get_objects())
+
+        before = nodes()
+        x = sloth_f(13)
+        assert observe(x, 20_000) == (20_000, Ended.EXHAUSTED)
+        assert nodes() > before + 6000
+        del x
+        assert nodes() <= before
 
 
 class TestSlothStrict:
