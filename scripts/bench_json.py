@@ -27,7 +27,9 @@ if any ratio is worse than its bound; a metric only one side has is
 printed with ``-`` for the other.  With one file per side the medians are
 the two runs' own figures.  With ``MIN_PAIRS`` or more files per side, the
 i-th old and i-th new file are a pair, and a last column says how many of
-the pairs that have the metric the new side won (a tie is no win).
+the pairs that have the metric the new side won (a tie is no win).  A last
+row gives each side's failed and attempted ops summed over its runs; the
+exit status is 1 also if the new side's share of failed ops is the larger.
 """
 
 from __future__ import annotations
@@ -128,9 +130,14 @@ def _fresh_run(args: list[str]) -> subprocess.CompletedProcess:
         return subprocess.run([sys.executable, *args], cwd=tree, capture_output=True, text=True)
 
 
-def metrics(path: str) -> dict:
-    """The metric values of the saved run ``path``, by name."""
-    return {key: m["value"] for key, m in json.loads(Path(path).read_text())["metrics"].items()}
+def metrics(run: dict) -> dict:
+    """The metric values of the saved run ``run``, by name."""
+    return {key: m["value"] for key, m in run["metrics"].items()}
+
+
+def failed_share(runs: list[dict]) -> tuple[int, int]:
+    """The failed and the attempted ops summed over ``runs``."""
+    return sum(run["failed"] for run in runs), sum(run["attempted"] for run in runs)
 
 
 def medians(runs: list[dict]) -> dict:
@@ -144,7 +151,9 @@ def medians(runs: list[dict]) -> dict:
 
 def compare(old_paths: list[str], new_paths: list[str]) -> int:
     bounds = {m["name"]: m for m in BENCHMARK["end_to_end"]}
-    old_runs, new_runs = [metrics(p) for p in old_paths], [metrics(p) for p in new_paths]
+    old_saved, new_saved = ([json.loads(Path(p).read_text()) for p in paths]
+                            for paths in (old_paths, new_paths))
+    old_runs, new_runs = [metrics(r) for r in old_saved], [metrics(r) for r in new_saved]
     old, new = medians(old_runs), medians(new_runs)
     paired = len(old_runs) >= MIN_PAIRS
     worse = 0
@@ -172,6 +181,12 @@ def compare(old_paths: list[str], new_paths: list[str]) -> int:
             won = sum(sign * (n - o) < 0 for o, n in pairs)
             row += f"{f'{won}/{len(pairs)}':>8}"
         print(row + ("  WORSE" if bad else ""))
+    # A larger share of failed ops is refused whatever the metrics say.
+    (old_failed, old_tried), (new_failed, new_tried) = failed_share(old_saved), failed_share(new_saved)
+    bad = new_failed * old_tried > old_failed * new_tried
+    worse += bad
+    print(f"{'failed/attempted':<28}{f'{old_failed}/{old_tried}':>12}{f'{new_failed}/{new_tried}':>12}"
+          + ("  WORSE" if bad else ""))
     return 1 if worse else 0
 
 

@@ -101,11 +101,11 @@ class Later(Delay[A]):
     loop, runs what it holds.  Before the cut it holds the code for the
     rest: a closure, a generator primed by ``_gen``, a ``_Run`` or a bind's
     plain pair ``(x, ks)``, as any other tuple is read (``TypeError`` at its
-    step if not a pair headed by a ``Later``).  After it, it holds the rest
-    (so ``Later(d)`` for a ``Delay`` ``d`` is forced to ``d``, and a knot
-    holds itself) or a ``_Run`` of the steps taken before the rest.  A
-    node of one step is built as that memo: ``delay_by(v, 1)`` is
-    ``Later(Now(v))``, not a run of one.
+    step if not a pair of a ``Later`` and continuations, not ``None``).
+    After it, it holds the rest (so ``Later(d)`` for a ``Delay`` ``d`` is
+    forced to ``d``, and a knot holds itself) or a ``_Run`` of the steps
+    taken before the rest.  A node of one step is built as that memo:
+    ``delay_by(v, 1)`` is ``Later(Now(v))``, not a run of one.
     Every step of one cut has the class of the node cut, so a subclass
     (``lazy``'s successor) tags its steps.  A forced chain holds no more
     than its live state: the cut overwrites the code, so a node reaches
@@ -420,6 +420,8 @@ def _skip(x: Later, budget: int) -> tuple[Delay, int]:
                 # Open unforced bind nodes, not force them: a left chain is walked once.
                 try:
                     node, ks = t
+                    if ks is None:  # a pair, but no bind: ``bind`` never leaves ``None`` here
+                        raise ValueError
                     t = node._thunk
                     while type(t) is tuple and node is not x:
                         node, inner = t

@@ -15,17 +15,23 @@ if str(SCRIPT.parent) not in sys.path:
 import bench_json  # noqa: E402
 
 
-def compare(*runs):
+def compare(*runs, failed_row=False):
+    """The exit status and the lines printed; the last, the failed-ops row,
+    only if ``failed_row``, else it is checked to be there and dropped."""
     proc = subprocess.run([sys.executable, str(SCRIPT), "--compare", *runs],
                           capture_output=True, text=True, timeout=60)
     assert proc.stderr == ""
-    return proc.returncode, proc.stdout.splitlines()
+    lines = proc.stdout.splitlines()
+    if failed_row:
+        return proc.returncode, lines[-1]
+    assert lines[-1].startswith("failed/attempted ")
+    return proc.returncode, lines[:-1]
 
 
-def saved(tmp_path, name, metrics):
+def saved(tmp_path, name, metrics, attempted=10, failed=0):
     path = tmp_path / name
     path.write_text(json.dumps({
-        "correct": True, "attempted": 10, "failed": 0,
+        "correct": failed == 0, "attempted": attempted, "failed": failed,
         "metrics": {k: {"value": v, "unit": "u"} for k, v in metrics.items()},
     }))
     return str(path)
@@ -111,6 +117,29 @@ def test_compare_counts_the_pairs_the_new_side_won(tmp_path):
     code, lines = compare(*old[:4], *new[:4])
     assert lines[0].split() == ["metric", "old", "new", "ratio", "bound"]
     assert all(len(line.split()) == 5 for line in lines[1:])
+
+
+def test_compare_prints_the_failed_ops_each_side_summed_over_its_runs(tmp_path):
+    ops = {"interp.ops_per_s": 1000}
+    old = [saved(tmp_path, f"old{i}.json", ops, attempted=100 + i, failed=i) for i in range(2)]
+    new = [saved(tmp_path, f"new{i}.json", ops, attempted=300) for i in range(2)]
+    code, row = compare(*old, *new, failed_row=True)
+    assert code == 0
+    assert row.split() == ["failed/attempted", "1/201", "0/600"]
+
+
+@pytest.mark.parametrize("old_failed, new_failed, code", [
+    (0, 0, 0), (0, 1, 1), (1, 1, 0), (1, 0, 0), (2, 3, 1),
+], ids=["none", "new-fails", "same-share", "old-fails", "larger-share"])
+def test_compare_exits_1_when_the_new_side_fails_a_larger_share(
+        tmp_path, old_failed, new_failed, code):
+    # The new side attempts twice as many ops, so 2 failures there are the same share as 1.
+    ops = {"interp.ops_per_s": 1000}
+    old = saved(tmp_path, "old.json", ops, attempted=100, failed=old_failed)
+    new = saved(tmp_path, "new.json", ops, attempted=200, failed=2 * new_failed)
+    got, row = compare(old, new, failed_row=True)
+    assert got == code
+    assert row.endswith("WORSE") == bool(code)
 
 
 def test_compare_refuses_an_odd_number_of_runs(tmp_path):

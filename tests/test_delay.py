@@ -286,12 +286,15 @@ class TestNotADelay:
 
     @pytest.mark.parametrize("thunk", [
         5, (1, 2), (), (now(1), now), (delay_by(0, 1), now, now), (later((1, 2)), now),
-    ], ids=["int", "pair-of-ints", "empty", "now-head", "triple", "bad-inner-head"])
+        (later(lambda: now(1)), None), (delay_by(5, 3), None),
+    ], ids=["int", "pair-of-ints", "empty", "now-head", "triple", "bad-inner-head",
+            "no-continuation-head-to-value", "no-continuation-head-to-later"])
     @pytest.mark.parametrize("make", [later, succ], ids=["later", "succ"])
     def test_a_thunk_that_is_neither_code_nor_a_bind_pair_raises_at_its_step_each_run(
             self, make, thunk):
         # Any tuple thunk but a run is read as a bind pair; one that is not a
-        # pair headed by a node raises, as a non-callable thunk does.
+        # pair headed by a node, with continuations, raises, as a non-callable
+        # thunk does, whether its head would be cut to a value or to a node.
         with pytest.raises(TypeError):
             make(thunk).rest()
         x = bind(lambda _: make(thunk), delay_by(0, 2))

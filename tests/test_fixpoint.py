@@ -8,14 +8,18 @@ import pytest
 from copartial import (
     Converged,
     Exhausted,
+    Operator,
     bisim,
     bottom,
     fix,
+    fmap,
     iterate,
+    later,
     leq,
     never,
     Now,
     now,
+    parallel_search,
     run_for,
 )
 from copartial.fixpoint import (
@@ -131,6 +135,167 @@ class TestFix:
                 r = run_for(f((a, b)), FUEL)
                 assert isinstance(r, Converged) and r.value == a // b
         assert isinstance(run_for(f((5, 0)), FUEL), Exhausted)
+
+
+def never_at_zero_operator():
+    """``never()`` at 0 without recursing; elsewhere 0 from 5 up, else 1 + f(n + 1)."""
+
+    def step(f):
+        def g(n):
+            if n == 0:
+                return never()
+            if n >= 5:
+                return now(0)
+            return fmap(lambda r: r + 1, f(n + 1))
+
+        return g
+
+    return Operator(step, "never-at-zero")
+
+
+def asks_then_never_operator():
+    """At an odd n, asks f(n - 1) and then answers ``never()``; n // 2 at an even n."""
+
+    def step(f):
+        def g(n):
+            if n == 0:
+                return now(0)
+            if n % 2:
+                f(n - 1)
+                return never()
+            return fmap(lambda r: r + 1, f(n - 2))
+
+        return g
+
+    return Operator(step, "asks-then-never")
+
+
+def asks_when_stepped_operator():
+    """A ``later`` that asks f only when stepped: n steps down to 0, or for ever below 0."""
+
+    def step(f):
+        def g(n):
+            if n == 0:
+                return now(0)
+            return later(lambda: fmap(lambda r: r + 1, f(n - 1 if n > 0 else n)))
+
+        return g
+
+    return Operator(step, "asks-when-stepped")
+
+
+def counting(F, raise_at=None):
+    """``F`` with a count of the calls of its iterates' functions, and an error at ``raise_at``."""
+    calls = []
+
+    def step(f):
+        inner = F.apply(f)
+
+        def g(a):
+            calls.append(a)
+            if a == raise_at:
+                raise ArithmeticError(a)
+            return inner(a)
+
+        return g
+
+    return Operator(step, F.name), calls
+
+
+HAND_WRITTEN = {
+    "never-at-zero": (never_at_zero_operator(), [0, 1, 3, 4, 5, 9]),
+    "asks-then-never": (asks_then_never_operator(), [0, 1, 2, 5, 6, 8]),
+    "asks-when-stepped": (asks_when_stepped_operator(), [0, 1, 3, 6, -1]),
+}
+
+
+def plain_dovetail(F, a):
+    """The search ``fix`` makes, over unmemoised iterates and with no shortcut."""
+    return parallel_search(lambda n: iterate(F, n)(a))
+
+
+def operators_and_arguments():
+    args = fixpoint_steps_args()
+    cases = [(name, F, a) for name, F in SAMPLE_OPERATORS().items() for a in args[name]]
+    cases += [(name, F, a) for name, (F, xs) in HAND_WRITTEN.items() for a in xs]
+    return cases
+
+
+class TestFixAgainstThePlainDovetail:
+    FUELS = (0, 1, 2, 5, 9, 30, 200)
+
+    def test_same_value_and_steps_at_every_fuel(self):
+        for name, F, a in operators_and_arguments():
+            for fuel in self.FUELS:
+                got, want = run_for(fix(F)(a), fuel), run_for(plain_dovetail(F, a), fuel)
+                assert type(got) is type(want), (name, a, fuel)
+                if isinstance(want, Converged):
+                    assert got == want, (name, a, fuel)
+
+    def test_an_exhausted_rest_resumed_gives_the_same_total(self):
+        total = max(self.FUELS)
+        for name, F, a in operators_and_arguments():
+            want = run_for(plain_dovetail(F, a), total)
+            for fuel in self.FUELS[:-1]:
+                first = run_for(fix(F)(a), fuel)
+                if isinstance(first, Converged):
+                    continue
+                rest = run_for(first.rest, total - fuel)
+                assert type(rest) is type(want), (name, a, fuel)
+                if isinstance(want, Converged):
+                    assert (rest.value, fuel + rest.steps) == (want.value, want.steps), (name, a, fuel)
+
+    def test_the_hand_written_operators_converge_where_they_should(self):
+        # At -1 every iterate of asks-when-stepped stays in the race, so a round costs O(round).
+        for name, (F, xs) in HAND_WRITTEN.items():
+            for a in xs:
+                r = run_for(fix(F)(a), 300)
+                expected = {
+                    "never-at-zero": None if a == 0 else max(0, 5 - a),
+                    "asks-then-never": None if a % 2 else a // 2,
+                    "asks-when-stepped": None if a < 0 else a,
+                }[name]
+                if expected is None:
+                    assert isinstance(r, Exhausted), (name, a)
+                else:
+                    assert isinstance(r, Converged) and r.value == expected, (name, a)
+
+
+class TestFixAnswersAKnot:
+    def test_division_by_zero_is_never_itself(self):
+        f = fix(division_operator())
+        for a in (0, 1, 7, 2999):
+            assert f((a, 0)) is never()
+        assert run_for(f((7, 0)), 10**9) == Exhausted(never())
+
+    def test_an_operator_that_diverges_without_recursing_is_never_itself(self):
+        assert fix(never_at_zero_operator())(0) is never()
+
+    def test_an_answer_that_asks_first_or_asks_when_stepped_gets_the_search(self):
+        # ``never()`` after asking, a ``later`` that would ask, and the identity
+        # operator, whose answer is the stand-in's own: none is the knot.
+        for F, a in ((asks_then_never_operator(), 1), (asks_when_stepped_operator(), -1),
+                     (diverging_operator(), 0), (factorial_operator(), 3)):
+            assert fix(F)(a) is not never(), F.name
+
+    def test_the_operator_runs_once_when_the_fixed_point_is_built(self):
+        for F, a in ((division_operator(), (5, 0)), (division_operator(), (5, 2)),
+                     (factorial_operator(), 4)):
+            counted, calls = counting(F)
+            x = fix(counted)(a)
+            assert calls == [a]
+            assert run_for(x, FUEL) == run_for(fix(F)(a), FUEL)
+
+    def test_an_operator_that_raises_at_the_argument_raises_when_built(self):
+        F, calls = counting(factorial_operator(), raise_at=3)
+        with pytest.raises(ArithmeticError):
+            fix(F)(3)
+        assert calls == [3]
+        # Elsewhere it raises only when an iterate reaches 3.
+        x = fix(F)(5)
+        assert isinstance(run_for(x, 2), Exhausted)
+        with pytest.raises(ArithmeticError):
+            run_for(x, FUEL)
 
 
 class TestTheorems:

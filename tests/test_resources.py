@@ -14,7 +14,7 @@ from copartial import (
     Again, Converged, Exhausted, bind, bisim, converges_to, delay_by, diverges_bounded, fmap,
     is_finite, later, leq, never, now, parallel_search, race, run_for, unfold,
 )
-from copartial.fixpoint import factorial_operator, fix
+from copartial.fixpoint import division_operator, factorial_operator, fix
 from copartial.lazy import (
     ZERO, Ended, lazy_of, lazy_plus, observe, omega, sloth_f, sloth_strict_g, step, succ,
 )
@@ -281,6 +281,7 @@ def test_runs_leave_no_cyclic_garbage():
         assert run_for(fix(factorial_operator())(30), 1000) == Converged(
             265252859812191058636308480000000, 32
         )
+        assert run_for(fix(division_operator())((7, 0)), 1000) == Exhausted(never())
         assert run_for(evaluate(CORPUS["ident_by_min"], [now(5)]), 10_000) == Converged(5, 5)
         search = Min(Comp(CORPUS["monus"], (Proj(1, 2), Comp(CORPUS["ident_by_min"], (Proj(2, 2),)))))
         assert run_for(evaluate(search, [now(3)]), 10_000) == Converged(3, 9)
