@@ -114,10 +114,11 @@ def diverges_finite_state(
 
     ``Holds`` if iteration revisits a seed before producing a value,
     ``Fails`` if a value is produced, ``Unknown`` once ``state_bound``
-    distinct seeds have been seen, ``TypeError`` at a step that is neither
-    ``Again`` nor ``Done``.  Seeds must be hashable with a meaningful
-    equality.  The seeds seen are the fuel spent, so ``state_bound`` is
-    checked as fuel.
+    distinct seeds have been seen or at a step that returns a ``Delay``
+    other than ``Done`` (the unfold continues as it, so its seeds end),
+    ``TypeError`` at a step that is neither ``Again`` nor a ``Delay``.
+    Seeds must be hashable with a meaningful equality.  The seeds seen are
+    the fuel spent, so ``state_bound`` is checked as fuel.
     """
     _check_fuel(state_bound)
     seen = set()
@@ -132,6 +133,8 @@ def diverges_finite_state(
         if not isinstance(r, Again):
             if isinstance(r, Done):
                 return FAILS
+            if isinstance(r, Delay):
+                return unknown(len(seen))
             raise _not_delay(r, "Again or Done")
         s = r.state
 

@@ -73,6 +73,12 @@ class TestConstructors:
         with pytest.raises(ValueError):
             run_for(now(1), -1)
 
+    @pytest.mark.parametrize("x, text", [
+        (now(7), "Now(7)"), (never(), "Later(...)"), (lazy_of(1), "Succ(...)"), (Again("s"), "Again('s')"),
+    ], ids=["Now", "Later", "Succ", "Again"])
+    def test_repr(self, x, text):
+        assert repr(x) == text
+
 
 @pytest.mark.parametrize(
     "run",
@@ -284,17 +290,11 @@ class TestNotADelay:
         with pytest.raises(RuntimeError, match="cannot resume"):
             run_for(search, 10)
 
-    @pytest.mark.parametrize("thunk", [
-        5, (1, 2), (), (now(1), now), (delay_by(0, 1), now, now), (later((1, 2)), now),
-        (later(lambda: now(1)), None), (delay_by(5, 3), None),
-    ], ids=["int", "pair-of-ints", "empty", "now-head", "triple", "bad-inner-head",
-            "no-continuation-head-to-value", "no-continuation-head-to-later"])
+    @pytest.mark.parametrize("thunk", [5], ids=["int"])
     @pytest.mark.parametrize("make", [later, succ], ids=["later", "succ"])
     def test_a_thunk_that_is_neither_code_nor_a_bind_pair_raises_at_its_step_each_run(
             self, make, thunk):
-        # Any tuple thunk but a run is read as a bind pair; one that is not a
-        # pair headed by a node, with continuations, raises, as a non-callable
-        # thunk does, whether its head would be cut to a value or to a node.
+        # A non-callable thunk other than a tuple or a ``Delay`` is built, and raises when stepped.
         with pytest.raises(TypeError):
             make(thunk).rest()
         x = bind(lambda _: make(thunk), delay_by(0, 2))
@@ -303,6 +303,31 @@ class TestNotADelay:
             with pytest.raises(TypeError):
                 run_for(x, 10)
         with pytest.raises(TypeError):
+            observe(x, 10)
+
+    @pytest.mark.parametrize("thunk", [
+        lambda make: (1, 2), lambda make: (), lambda make: (now(1), now),
+        lambda make: (delay_by(0, 1), now, now), lambda make: (make((1, 2)), now),
+        lambda make: (later(lambda: now(1)), None), lambda make: (delay_by(5, 3), None),
+        lambda make: (delay_by(0, 1), now),
+        lambda make: (make((delay_by(5, 3), None)), now), lambda make: (make((never(), None)), now),
+    ], ids=["pair-of-ints", "empty", "now-head", "triple", "bad-inner-head",
+            "no-continuation-head-to-value", "no-continuation-head-to-later", "bind-shaped",
+            "inner-no-continuation-head-to-later", "inner-no-continuation-never"])
+    @pytest.mark.parametrize("make", [later, succ], ids=["later", "succ"])
+    def test_a_tuple_thunk_is_refused_when_its_node_is_built(self, make, thunk):
+        # A plain tuple cell is a bind's, which only ``bind`` stores, so a node is
+        # refused a tuple as it is built, and so is a node nested in the tuple.
+        refused = "a Later is built from a step closure or a Delay, not a tuple$"
+        with pytest.raises(TypeError, match=refused):
+            make(thunk(make))
+        # A continuation that builds one raises at the step that calls it, on every run.
+        x = bind(lambda _: make(thunk(make)), delay_by(0, 2))
+        assert isinstance(run_for(x, 1), Exhausted)
+        for fuel in (2, 10):
+            with pytest.raises(TypeError, match=refused):
+                run_for(x, fuel)
+        with pytest.raises(TypeError, match=refused):
             observe(x, 10)
 
     def test_an_unfold_step_that_is_neither_again_nor_done_raises_at_its_step(self):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from copartial.delay import bind, delay_by, fmap
+from copartial.delay import bind, delay_by, fmap, now, run_for
 from copartial.laws import DelayGen, check_kleisli_laws, check_strength_laws
 
 GEN = DelayGen(include_never=True)
@@ -54,6 +54,15 @@ class TestMutation:
         failed = [r for r in results.values() if r.verdict.is_fails()]
         assert failed
         assert all(r.counterexample for r in failed)
+
+    def test_a_bind_that_ignores_its_head_is_caught_where_the_head_has_no_value(self):
+        # Runs ``f`` on 0 whatever ``x`` is, so a diverging ``x`` gives a value.
+        def eager_bind(f, x):
+            return now(run_for(f(0), 100).value + 1)
+
+        results = check_kleisli_laws(GEN, samples=20, fuel=2, seed=0, bind_impl=eager_bind)
+        assert results["kleisli-associativity"].counterexample == (
+            "associativity broken at x=<no value within 2 steps>")
 
     def test_step_miscounting_bind_still_passes(self):
         def padded_bind(f, x):

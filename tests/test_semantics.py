@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from copartial import (
     Again,
+    Converged,
     Done,
     bisim,
     converges_to,
@@ -17,6 +18,9 @@ from copartial import (
     leq,
     never,
     now,
+    run_for,
+    unfold,
+    unknown,
 )
 from tests.conftest import finite_delays
 
@@ -57,6 +61,12 @@ class TestDivergesFiniteState:
 
     def test_increasing_seeds_unknown(self):
         assert diverges_finite_state(0, lambda s: Again(s + 1), 100).is_unknown()
+
+    def test_a_step_to_a_later_ends_the_seeds_unknown(self):
+        # ``unfold`` continues as the ``Later``; the seeds seen are the fuel spent.
+        step = lambda s: Again(s + 1) if s < 3 else delay_by(7, 2)
+        assert run_for(unfold(0, step), 10) == Converged(7, 5)
+        assert diverges_finite_state(0, step, 10) == unknown(4)
 
     def test_state_bound_is_checked_as_fuel(self):
         # Checked before the first step: a bad bound is refused, not read as none.
