@@ -1,7 +1,8 @@
 """Command-line front end: evaluate codes under fuel, run demos, check laws.
 
-Each subcommand imports the modules it runs when it runs, so a process
-compiles and loads only what its command needs.
+Each subcommand imports its own modules when it runs; ``delay``,
+``semantics`` and ``fixpoint`` load with the package, whatever the
+command.
 
 Exit status: 0 for a converged evaluation (and for law suites with no
 failing law), 2 when fuel is exhausted, 1 for usage or parse errors.

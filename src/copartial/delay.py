@@ -162,16 +162,32 @@ class Again(Generic[S]):
 
 class _Record:
     """Base of the package's records: value classes whose fields are their
-    ``__slots__``, set once by ``__init__`` through ``_set``.
+    ``__slots__``, written once.
 
-    Records of one class are equal, and hash alike, when their field
-    tuples are; records of different classes are never equal.  ``repr``
-    is ``Cls(field=value, ...)``, and assigning or deleting a field raises
+    A subclass with fields gets its ``__init__`` when it is defined: one
+    parameter per slot, in order, the last ones defaulting to the class
+    tuple ``_defaults``, and one ``object.__setattr__`` per field, compiled
+    from source rather than looped over the slots at each call.  Records
+    of one class are equal, and hash alike, when their field tuples are;
+    records of different classes are never equal.  ``repr`` is
+    ``Cls(field=value, ...)``, and assigning or deleting a field raises
     ``AttributeError``.
     """
 
     __slots__ = ()
-    _set = object.__setattr__
+    _defaults = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if cls.__slots__:
+            names = ", ".join(cls.__slots__)
+            body = "".join([f"\n _set(self, {name!r}, {name})" for name in cls.__slots__])
+            ns = {"_set": object.__setattr__}
+            exec(f"def __init__(self, {names}):{body}", ns)
+            init = ns["__init__"]
+            init.__qualname__ = f"{cls.__qualname__}.__init__"
+            init.__defaults__ = cls._defaults
+            cls.__init__ = init
 
     def _fields(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])
@@ -201,16 +217,9 @@ class _Record:
 class Converged(_Record, Generic[A]):
     __slots__ = ("value", "steps")
 
-    def __init__(self, value: A, steps: int):
-        self._set("value", value)
-        self._set("steps", steps)
-
 
 class Exhausted(_Record, Generic[A]):
     __slots__ = ("rest",)
-
-    def __init__(self, rest: Delay[A]):
-        self._set("rest", rest)
 
 
 RunResult = Union[Converged[A], Exhausted[A]]
@@ -505,13 +514,24 @@ def strict_pair(x: Delay[A], y: Delay[B]) -> Delay[tuple[A, B]]:
 def strict_tuple(xs: Sequence[Delay[A]]) -> Delay[tuple[A, ...]]:
     """n-ary ``strict_pair``; the empty tuple converges immediately.
 
-    ``TypeError`` if a component is not a ``Delay``.
+    ``TypeError`` if a component is not a ``Delay``.  The values are
+    gathered as nested pairs ``(t, v)`` and flattened once at the end, so
+    n components cost O(n), not the O(n²) of copying the tuple so far.
     """
     acc: Delay[tuple] = Now(())
     for x in xs:
         _delay(x)
-        acc = bind(lambda t, x=x: fmap(lambda v: t + (v,), x), acc)
-    return acc
+        acc = bind(lambda t, x=x: fmap(lambda v: (t, v), x), acc)
+    return fmap(_flatten, acc)
+
+
+def _flatten(t: tuple) -> tuple:
+    # ``(((), a), b)`` -> ``(a, b)``: an empty tuple is the end, and every pair is truthy.
+    vs = []
+    while t:
+        t, v = t
+        vs.append(v)
+    return tuple(reversed(vs))
 
 
 def strict_proj(i: int, xs: Sequence[Delay[A]]) -> Delay[A]:

@@ -42,10 +42,7 @@ class Operator(_Record, Generic[A, B]):
     """
 
     __slots__ = ("apply", "name")
-
-    def __init__(self, apply: Callable[[PartialFn], PartialFn], name: str = "operator"):
-        self._set("apply", apply)
-        self._set("name", name)
+    _defaults = ("operator",)
 
 
 def bottom() -> PartialFn:

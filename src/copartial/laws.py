@@ -9,13 +9,13 @@ reported with a counterexample.
 from __future__ import annotations
 
 import random
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .delay import (
     Converged, Delay, _check_fuel, _natural, _Record, bind, delay_by, fmap, never, now, run_for,
     strength,
 )
-from .semantics import FAILS, HOLDS, Verdict, bisim, unknown
+from .semantics import FAILS, HOLDS, bisim, unknown
 
 __all__ = ["DelayGen", "LawResult", "check_kleisli_laws", "check_strength_laws"]
 
@@ -33,9 +33,7 @@ class DelayGen(_Record):
     """
 
     __slots__ = ("include_never",)
-
-    def __init__(self, include_never: bool = False):
-        self._set("include_never", include_never)
+    _defaults = (False,)
 
     def sample(self, rng: random.Random) -> Delay[int]:
         if self.include_never and rng.random() < 0.1:
@@ -64,18 +62,10 @@ class LawResult(_Record):
     """One law's tally over the samples; mutable, so unhashable."""
 
     __slots__ = ("name", "verdict", "holds", "unknown", "fails", "counterexample")
+    _defaults = (HOLDS, 0, 0, 0, None)
     __setattr__ = object.__setattr__
     __delattr__ = object.__delattr__
     __hash__ = None
-
-    def __init__(self, name: str, verdict: Verdict = HOLDS, holds: int = 0,
-                 unknown: int = 0, fails: int = 0, counterexample: Optional[str] = None):
-        self.name = name
-        self.verdict = verdict
-        self.holds = holds
-        self.unknown = unknown
-        self.fails = fails
-        self.counterexample = counterexample
 
 
 BindImpl = Callable[[Callable[[int], Delay[int]], Delay[int]], Delay[int]]

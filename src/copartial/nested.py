@@ -34,13 +34,6 @@ class DevilSpec(_Record, Generic[A]):
 
     __slots__ = ("in_base", "i", "g", "h")
 
-    def __init__(self, in_base: Callable[[A], bool], i: Callable[[A], A],
-                 g: Callable[[A], A], h: Callable[[A], A]):
-        self._set("in_base", in_base)
-        self._set("i", i)
-        self._set("g", g)
-        self._set("h", h)
-
 
 def cnest(n: int, m: int) -> Delay[int]:
     """Compute the m-fold self-application of ``nest`` at ``n``.

@@ -84,32 +84,17 @@ class Succ(_Record):
 class Proj(_Record):
     __slots__ = ("i", "n")
 
-    def __init__(self, i: int, n: int):
-        self._set("i", i)
-        self._set("n", n)
-
 
 class Comp(_Record):
     __slots__ = ("f", "gs")
-
-    def __init__(self, f: RecCode, gs: Tuple[RecCode, ...]):
-        self._set("f", f)
-        self._set("gs", gs)
 
 
 class PrimRec(_Record):
     __slots__ = ("f", "g")
 
-    def __init__(self, f: RecCode, g: RecCode):
-        self._set("f", f)
-        self._set("g", g)
-
 
 class Min(_Record):
     __slots__ = ("f",)
-
-    def __init__(self, f: RecCode):
-        self._set("f", f)
 
 
 RecCode = Zero | Succ | Proj | Comp | PrimRec | Min

@@ -11,7 +11,7 @@ the steps a run has passed are freed as it goes.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, TypeVar, Union
+from typing import Callable, TypeVar, Union
 
 from .delay import Again, Converged, Delay, Done, _check_fuel, _not_delay, _Record, run_for
 
@@ -41,10 +41,7 @@ class Verdict(_Record):
     """
 
     __slots__ = ("kind", "fuel_spent")
-
-    def __init__(self, kind: str, fuel_spent: Optional[int] = None):
-        self._set("kind", kind)
-        self._set("fuel_spent", fuel_spent)
+    _defaults = (None,)
 
     def is_holds(self) -> bool:
         return self.kind == "holds"

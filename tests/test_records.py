@@ -1,9 +1,12 @@
 """The package's records are value classes: equality and hashing by field
 tuple within one class, ``Cls(field=value, ...)`` reprs, keyword
 construction with defaults, and no assignment to a field, except that
-``LawResult`` is mutable and unhashable."""
+``LawResult`` is mutable and unhashable.  A record's constructor is
+generated from its fields: it takes them in order, with the defaults
+shown, and a call that misses one names ``Cls.__init__``."""
 
 import copy
+import inspect
 
 import pytest
 
@@ -74,6 +77,23 @@ FIELDS = {
     "PrimRec": ("f", "g"),
     "Min": ("f",),
 }
+# name: the record's signature as ``inspect`` prints it.
+SIGNATURES = {
+    "Converged": "(value, steps)",
+    "Exhausted": "(rest)",
+    "Verdict": "(kind, fuel_spent=None)",
+    "Operator": "(apply, name='operator')",
+    "DevilSpec": "(in_base, i, g, h)",
+    "DelayGen": "(include_never=False)",
+    "LawResult": ("(name, verdict=Verdict(kind='holds', fuel_spent=None), holds=0, unknown=0, "
+                  "fails=0, counterexample=None)"),
+    "Zero": "()",
+    "Succ": "()",
+    "Proj": "(i, n)",
+    "Comp": "(f, gs)",
+    "PrimRec": "(f, g)",
+    "Min": "(f)",
+}
 FROZEN = sorted(set(RECORDS) - {"LawResult"})
 
 
@@ -120,6 +140,18 @@ def test_fields_cannot_be_assigned(name):
         with pytest.raises(AttributeError):
             delattr(x, field)
     assert repr(x) == before
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_the_constructor_takes_the_fields_in_order(name):
+    assert str(inspect.signature(type(RECORDS[name][0]()))) == SIGNATURES[name]
+
+
+# Every record but these has a field with no default.
+@pytest.mark.parametrize("name", sorted(set(RECORDS) - {"Zero", "Succ", "DelayGen"}))
+def test_a_missing_field_names_the_constructor(name):
+    with pytest.raises(TypeError, match=rf"^{name}\.__init__\(\) missing .*'{FIELDS[name][0]}'"):
+        type(RECORDS[name][0]())()
 
 
 def test_defaults():

@@ -3,6 +3,7 @@ computation holds no more than its live state."""
 
 import ast
 import gc
+import time
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 import copartial
 from copartial import (
     Again, Converged, Exhausted, bind, bisim, converges_to, delay_by, diverges_bounded, fmap,
-    is_finite, later, leq, never, now, parallel_search, race, run_for, unfold,
+    is_finite, later, leq, never, now, parallel_search, race, run_for, strict_tuple, unfold,
 )
 from copartial.fixpoint import division_operator, factorial_operator, fix
 from copartial.lazy import (
@@ -106,6 +107,13 @@ class TestDeepNesting:
         base = Comp(CORPUS["ident_by_min"], (Proj(1, 1),))
         code = PrimRec(base, Comp(Succ(), (Proj(3, 3),)))
         assert run_for(evaluate(code, [now(3), now(2000)]), 10_000) == Converged(2003, 3)
+
+    def test_strict_tuple_of_100000_components(self):
+        # n components must cost O(n): copying the tuple so far at each one is quadratic.
+        start = time.process_time()
+        r = run_for(strict_tuple([delay_by(i, 1) for i in range(100_000)]), 10**6)
+        assert time.process_time() - start < 5
+        assert r == Converged(tuple(range(100_000)), 100_000)
 
     def test_parallel_search_1000_live_entrants(self):
         # Entrant n < 1000 keeps stepping; every round advances all of them.
