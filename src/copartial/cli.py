@@ -84,49 +84,34 @@ def _cmd_eval(opts, out, err) -> int:
     return _run_and_report(d, opts.fuel, opts.trace, out)
 
 
-def _demo_nest(fuel: int, out) -> int:
-    from .nested import nest
+def _demo(name: str, fuel: int, out) -> int:
+    if name == "nest":
+        from .nested import nest
 
-    for n in range(11):
-        _run_and_report(nest(n), fuel, False, out, prefix=f"NEST n={n} ")
+        runs = ((f"NEST n={n} ", nest(n)) for n in range(11))
+    elif name == "devil91":
+        from .nested import devil, mccarthy91_devil_spec
+
+        spec = mccarthy91_devil_spec()
+        runs = ((f"DEVIL91 n={n} ", devil(spec, n)) for n in (0, 1, 42, 99, 100, 101, 111, 200))
+    elif name == "sloth":
+        from .lazy import observe, sloth_f, sloth_g, sloth_strict_g
+
+        for label, sloth, n in (("g", sloth_g, 14), ("f", sloth_f, 13)):
+            succs, ended = observe(sloth(n), fuel)
+            print(f"SLOTH lazy-{label}{n} succs={succs} ended={ended.value}", file=out)
+        runs = (("SLOTH strict-g14 ", sloth_strict_g(14)),)
+    else:
+        from .fixpoint import factorial_operator, fix
+
+        fac = fix(factorial_operator())
+        runs = ((f"FACTORIAL n={n} ", fac(n)) for n in range(9))
+    for prefix, d in runs:
+        _run_and_report(d, fuel, False, out, prefix)
     return 0
 
 
-def _demo_devil91(fuel: int, out) -> int:
-    from .nested import devil, mccarthy91_devil_spec
-
-    spec = mccarthy91_devil_spec()
-    for n in (0, 1, 42, 99, 100, 101, 111, 200):
-        _run_and_report(devil(spec, n), fuel, False, out, prefix=f"DEVIL91 n={n} ")
-    return 0
-
-
-def _demo_sloth(fuel: int, out) -> int:
-    from .lazy import observe, sloth_f, sloth_g, sloth_strict_g
-
-    succs, ended = observe(sloth_g(14), fuel)
-    print(f"SLOTH lazy-g14 succs={succs} ended={ended.value}", file=out)
-    succs, ended = observe(sloth_f(13), fuel)
-    print(f"SLOTH lazy-f13 succs={succs} ended={ended.value}", file=out)
-    _run_and_report(sloth_strict_g(14), fuel, False, out, prefix="SLOTH strict-g14 ")
-    return 0
-
-
-def _demo_factorial_fix(fuel: int, out) -> int:
-    from .fixpoint import factorial_operator, fix
-
-    fac = fix(factorial_operator())
-    for n in range(9):
-        _run_and_report(fac(n), fuel, False, out, prefix=f"FACTORIAL n={n} ")
-    return 0
-
-
-DEMOS = {
-    "nest": _demo_nest,
-    "devil91": _demo_devil91,
-    "sloth": _demo_sloth,
-    "factorial-fix": _demo_factorial_fix,
-}
+DEMOS = ("nest", "devil91", "sloth", "factorial-fix")
 
 
 def _cmd_check_laws(opts, out) -> int:
@@ -174,7 +159,7 @@ def main(argv: Optional[Sequence[str]] = None, out=None, err=None) -> int:
     if opts.command == "eval":
         return _cmd_eval(opts, out, err)
     if opts.command == "demo":
-        return DEMOS[opts.name](opts.fuel, out)
+        return _demo(opts.name, opts.fuel, out)
     return _cmd_check_laws(opts, out)
 
 

@@ -5,8 +5,8 @@ convergence order are undecidable in general, so every checker returns a
 three-valued ``Verdict``: ``Holds`` and ``Fails`` are definitive and
 monotone in fuel, ``Unknown`` carries no claim beyond the fuel spent.
 The convergence order ``leq`` is ``bisim``, whose docstring says why.
-A checker keeps no reference to a computation once its run starts, so
-the steps a run has passed are freed as it goes.
+A run keeps no chain of the steps it passed, even when its caller keeps
+the head, so a checker holds its sides like any other caller.
 """
 
 from __future__ import annotations
@@ -66,14 +66,14 @@ def unknown(fuel_spent: int) -> Verdict:
     return Verdict("unknown", fuel_spent)
 
 
-def _judge(fuel: int, judge: Callable[..., Verdict], sides: list[Delay]) -> Verdict:
+def _judge(fuel: int, judge: Callable[..., Verdict], *sides: Delay) -> Verdict:
     # Run each side under the full fuel in turn; judge their values, or
     # give up with ``Unknown`` at the first side that does not converge.
-    # Each side leaves ``sides`` as its run starts, and the callers hold
-    # none, so the steps a run has passed are freed as it goes.
+    # A run keeps no chain of the steps it passed, even though ``sides``
+    # keeps each head.
     values = []
-    while sides:
-        r = run_for(sides.pop(0), fuel)
+    for x in sides:
+        r = run_for(x, fuel)
         if not isinstance(r, Converged):
             return unknown(fuel)
         values.append(r.value)
@@ -86,9 +86,7 @@ def _equal(u, v) -> Verdict:
 
 def converges_to(x: Delay[A], a: A, fuel: int) -> Verdict:
     """Does ``x`` reach exactly the value ``a`` within ``fuel`` steps?"""
-    sides = [x]
-    del x
-    return _judge(fuel, lambda v: _equal(v, a), sides)
+    return _judge(fuel, lambda v: _equal(v, a), x)
 
 
 def diverges_bounded(x: Delay[A], fuel: int) -> Verdict:
@@ -97,9 +95,7 @@ def diverges_bounded(x: Delay[A], fuel: int) -> Verdict:
     Divergence cannot be confirmed by any finite observation, so the
     only definitive answer available here is ``Fails``.
     """
-    sides = [x]
-    del x
-    return _judge(fuel, lambda _v: FAILS, sides)
+    return _judge(fuel, lambda _v: FAILS, x)
 
 
 def diverges_finite_state(
@@ -138,9 +134,7 @@ def diverges_finite_state(
 
 def is_finite(x: Delay[A], fuel: int) -> Verdict:
     """Does ``x`` have a value at all?  Never ``Fails``."""
-    sides = [x]
-    del x
-    return _judge(fuel, lambda _v: HOLDS, sides)
+    return _judge(fuel, lambda _v: HOLDS, x)
 
 
 def bisim(x: Delay[A], y: Delay[A], fuel: int) -> Verdict:
@@ -154,9 +148,7 @@ def bisim(x: Delay[A], y: Delay[A], fuel: int) -> Verdict:
     on a deterministic ``Delay`` the two differ only where ``x`` diverges,
     which no finite fuel observes, so their semi-decisions coincide.
     """
-    sides = [x, y]
-    del x, y
-    return _judge(fuel, _equal, sides)
+    return _judge(fuel, _equal, x, y)
 
 
 leq = bisim

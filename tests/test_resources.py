@@ -230,13 +230,21 @@ class TestLongRuns:
             (lambda n: is_finite(right_loop(n), n + 10), "Holds"),
             (lambda n: bisim(right_loop(n), right_loop(n), n + 10), "Holds"),
             (lambda n: leq(right_loop(n), right_loop(n), n + 10), "Holds"),
+            (lambda n: (lambda x: converges_to(x, 7, n + 10))(right_loop(n)), "Holds"),
+            (lambda n: (lambda x: diverges_bounded(x, n + 10))(right_loop(n)), "Fails"),
+            (lambda n: (lambda x: is_finite(x, n + 10))(right_loop(n)), "Holds"),
+            (lambda n: (lambda x, y: bisim(x, y, n + 10))(right_loop(n), right_loop(n)), "Holds"),
+            (lambda n: (lambda x, y: leq(x, y, n + 10))(right_loop(n), right_loop(n)), "Holds"),
         ],
-        ids=["converges_to", "diverges_bounded", "is_finite", "bisim", "leq"],
+        ids=["converges_to", "diverges_bounded", "is_finite", "bisim", "leq",
+             "converges_to-held", "diverges_bounded-held", "is_finite-held", "bisim-held",
+             "leq-held"],
     )
     @pytest.mark.parametrize("n", [2_000, 20_000])
     def test_a_judge_keeps_no_side_it_has_run(self, judge, verdict, n):
-        # No judge holds a side once its run starts, so a temporary right
-        # bind loop's memoised steps are freed as the run passes them.
+        # A run keeps no chain of the steps it passed, so a right bind loop's
+        # memoised steps are freed as the run passes them, also where the
+        # caller keeps each head for the whole call (the ``-held`` inputs).
         tracemalloc.start()
         try:
             assert str(judge(n)) == verdict
