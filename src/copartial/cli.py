@@ -84,34 +84,50 @@ def _cmd_eval(opts, out, err) -> int:
     return _run_and_report(d, opts.fuel, opts.trace, out)
 
 
+def _nest_runs(fuel: int, out):
+    from .nested import nest
+
+    return ((f"NEST n={n} ", nest(n)) for n in range(11))
+
+
+def _devil91_runs(fuel: int, out):
+    from .nested import devil, mccarthy91_devil_spec
+
+    spec = mccarthy91_devil_spec()
+    return ((f"DEVIL91 n={n} ", devil(spec, n)) for n in (0, 1, 42, 99, 100, 101, 111, 200))
+
+
+def _sloth_runs(fuel: int, out):
+    from .lazy import observe, sloth_f, sloth_g, sloth_strict_g
+
+    succs, ended = observe(sloth_g(14), fuel)
+    print(f"SLOTH lazy-g14 succs={succs} ended={ended.value}", file=out)
+    succs, ended = observe(sloth_f(13), fuel)
+    print(f"SLOTH lazy-f13 succs={succs} ended={ended.value}", file=out)
+    return (("SLOTH strict-g14 ", sloth_strict_g(14)),)
+
+
+def _factorial_fix_runs(fuel: int, out):
+    from .fixpoint import factorial_operator, fix
+
+    fac = fix(factorial_operator())
+    return ((f"FACTORIAL n={n} ", fac(n)) for n in range(9))
+
+
+# Each demo's ``(prefix, computation)`` runs, built lazily in order; each
+# builder imports its own modules.
+DEMOS = {
+    "nest": _nest_runs,
+    "devil91": _devil91_runs,
+    "sloth": _sloth_runs,
+    "factorial-fix": _factorial_fix_runs,
+}
+
+
 def _demo(name: str, fuel: int, out) -> int:
-    if name == "nest":
-        from .nested import nest
-
-        runs = ((f"NEST n={n} ", nest(n)) for n in range(11))
-    elif name == "devil91":
-        from .nested import devil, mccarthy91_devil_spec
-
-        spec = mccarthy91_devil_spec()
-        runs = ((f"DEVIL91 n={n} ", devil(spec, n)) for n in (0, 1, 42, 99, 100, 101, 111, 200))
-    elif name == "sloth":
-        from .lazy import observe, sloth_f, sloth_g, sloth_strict_g
-
-        for label, sloth, n in (("g", sloth_g, 14), ("f", sloth_f, 13)):
-            succs, ended = observe(sloth(n), fuel)
-            print(f"SLOTH lazy-{label}{n} succs={succs} ended={ended.value}", file=out)
-        runs = (("SLOTH strict-g14 ", sloth_strict_g(14)),)
-    else:
-        from .fixpoint import factorial_operator, fix
-
-        fac = fix(factorial_operator())
-        runs = ((f"FACTORIAL n={n} ", fac(n)) for n in range(9))
-    for prefix, d in runs:
+    for prefix, d in DEMOS[name](fuel, out):
         _run_and_report(d, fuel, False, out, prefix)
     return 0
-
-
-DEMOS = ("nest", "devil91", "sloth", "factorial-fix")
 
 
 def _cmd_check_laws(opts, out) -> int:

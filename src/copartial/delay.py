@@ -30,8 +30,9 @@ So the peel loops (``run_for``, and ``lazy``'s ``observe`` and
 per step; ``rest()`` peels one step.  Each cell the loop passes is
 updated as it is passed, and the first node's when the cut ends, so a
 thunk runs once per step however often its node is run after its cut,
-and a caller that keeps the first node keeps no chain of the nodes
-passed.  A non-``Delay`` where a ``Delay`` is due, an ``unfold`` step
+and a caller that keeps the first node keeps no chain of the nodes the
+cut passed; a run whose steps change class is cut at each change, so a
+kept head keeps one node per change.  A non-``Delay`` where a ``Delay`` is due, an ``unfold`` step
 that is neither ``Again`` nor a ``Delay``, or a bare ``Delay()``, raises
 ``TypeError``.
 ``now``/``later`` are the classes ``Now``/``Later``, and ``Done`` is

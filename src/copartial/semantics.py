@@ -5,8 +5,11 @@ convergence order are undecidable in general, so every checker returns a
 three-valued ``Verdict``: ``Holds`` and ``Fails`` are definitive and
 monotone in fuel, ``Unknown`` carries no claim beyond the fuel spent.
 The convergence order ``leq`` is ``bisim``, whose docstring says why.
-A run keeps no chain of the steps it passed, even when its caller keeps
-the head, so a checker holds its sides like any other caller.
+A checker keeps no reference to a computation once its run starts, so
+the steps a run has passed are freed as it goes.  Holding the head would
+not be free: a run memoises each cut's first node, one per change of
+step class, so a kept head keeps a node per change (a lazy natural
+whose steps alternate ``succ`` and ``step`` keeps all of them).
 """
 
 from __future__ import annotations
@@ -66,14 +69,14 @@ def unknown(fuel_spent: int) -> Verdict:
     return Verdict("unknown", fuel_spent)
 
 
-def _judge(fuel: int, judge: Callable[..., Verdict], *sides: Delay) -> Verdict:
+def _judge(fuel: int, judge: Callable[..., Verdict], sides: list[Delay]) -> Verdict:
     # Run each side under the full fuel in turn; judge their values, or
     # give up with ``Unknown`` at the first side that does not converge.
-    # A run keeps no chain of the steps it passed, even though ``sides``
-    # keeps each head.
+    # Each side leaves ``sides`` as its run starts, and the callers hold
+    # none, so the steps a run has passed are freed as it goes.
     values = []
-    for x in sides:
-        r = run_for(x, fuel)
+    while sides:
+        r = run_for(sides.pop(0), fuel)
         if not isinstance(r, Converged):
             return unknown(fuel)
         values.append(r.value)
@@ -86,7 +89,9 @@ def _equal(u, v) -> Verdict:
 
 def converges_to(x: Delay[A], a: A, fuel: int) -> Verdict:
     """Does ``x`` reach exactly the value ``a`` within ``fuel`` steps?"""
-    return _judge(fuel, lambda v: _equal(v, a), x)
+    sides = [x]
+    del x
+    return _judge(fuel, lambda v: _equal(v, a), sides)
 
 
 def diverges_bounded(x: Delay[A], fuel: int) -> Verdict:
@@ -95,7 +100,9 @@ def diverges_bounded(x: Delay[A], fuel: int) -> Verdict:
     Divergence cannot be confirmed by any finite observation, so the
     only definitive answer available here is ``Fails``.
     """
-    return _judge(fuel, lambda _v: FAILS, x)
+    sides = [x]
+    del x
+    return _judge(fuel, lambda _v: FAILS, sides)
 
 
 def diverges_finite_state(
@@ -134,7 +141,9 @@ def diverges_finite_state(
 
 def is_finite(x: Delay[A], fuel: int) -> Verdict:
     """Does ``x`` have a value at all?  Never ``Fails``."""
-    return _judge(fuel, lambda _v: HOLDS, x)
+    sides = [x]
+    del x
+    return _judge(fuel, lambda _v: HOLDS, sides)
 
 
 def bisim(x: Delay[A], y: Delay[A], fuel: int) -> Verdict:
@@ -148,7 +157,9 @@ def bisim(x: Delay[A], y: Delay[A], fuel: int) -> Verdict:
     on a deterministic ``Delay`` the two differ only where ``x`` diverges,
     which no finite fuel observes, so their semi-decisions coincide.
     """
-    return _judge(fuel, _equal, x, y)
+    sides = [x, y]
+    del x, y
+    return _judge(fuel, _equal, sides)
 
 
 leq = bisim
