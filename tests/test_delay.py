@@ -2,6 +2,7 @@
 
 import inspect
 import sys
+from types import FunctionType, GeneratorType
 
 import pytest
 from hypothesis import given, settings
@@ -30,7 +31,7 @@ from copartial import (
 )
 from copartial import delay
 from copartial.delay import Delay, Now, _skip
-from copartial.lazy import Ended, lazy_le, lazy_of, lazy_plus, observe, step, succ
+from copartial.lazy import Ended, lazy_le, lazy_of, lazy_plus, observe, omega, step, succ
 from copartial.nested import cnest
 from copartial.reccode import CORPUS, oracle_eval
 from tests.conftest import finite_delays
@@ -735,16 +736,49 @@ class TestOneStepNodes:
         assert x.rest() is x._thunk
         assert run_for(x, 1).steps == 1
 
-    def test_a_bind_node_holds_a_plain_pair_until_its_cut(self):
+    @pytest.mark.parametrize("make, cls, cell, via_run_node, result", [
+        (lambda: delay_by(0, 1), delay.Later, Now, False, Converged(1, 4)),
+        (lambda: delay_by(0, 2), delay.Later, delay._Run, False, Converged(1, 5)),
+        (lambda: delay_by(0, 3), delay.Later, delay._Run, False, Converged(1, 6)),
+        (lambda: delay_by(0, 5), delay.Later, delay._Run, False, Converged(1, 8)),
+        (lambda: delay_by(0, True), delay.Later, Now, True, Converged(1, 4)),
+        (lambda: later(lambda: now(0)), delay.Later, FunctionType, False, Converged(1, 4)),
+        (lambda: unfold(2, lambda k: Again(k - 1) if k else now(0)), delay.Later, GeneratorType,
+         False, Converged(1, 5)),
+        (lambda: lazy_of(1), succ, Now, False, Converged(1, 4)),
+        (omega, succ, succ, False, None),
+        (never, delay.Later, delay.Later, False, None),
+        (lambda: now(0), Now, type(None), False, Converged(1, 3)),
+    ], ids=["delay_by-1", "delay_by-2", "delay_by-3", "delay_by-5", "delay_by-True", "closure",
+            "unfold", "lazy_of-1", "omega", "never", "now"])
+    @pytest.mark.parametrize("tree", [False, True], ids=["one", "tree"])
+    def test_a_bind_node_holds_a_plain_pair_until_its_cut(
+            self, monkeypatch, make, cls, cell, via_run_node, result, tree):
+        run_node, built = delay._run_node, []
+        monkeypatch.setattr(delay, "_run_node", lambda *args: built.append(args) or run_node(*args))
+        head = make()
+        # The head's own class and cell; ``delay_by`` takes ``_run_node`` off a positive ``int`` only.
+        assert type(head) is cls and type(getattr(head, "_thunk", None)) is cell
+        assert bool(built) is via_run_node
         f = lambda _: delay_by(1, 3)
-        assert type(f(0)._thunk) is delay._Run
-        for head in (delay_by(0, 1), lazy_of(1)):
-            x = bind(f, head)
-            assert type(x) is type(head) and type(x._thunk) is tuple
-            assert x._thunk[0] is head and x._thunk[1] is f and len(x._thunk) == 2
+        assert type(f(0)) is delay.Later and type(f(0)._thunk) is delay._Run
+        ks = (now, f) if tree else f
+        x = bind(ks, head)
+        if head is never():
+            assert x is head
+        elif cls is Now:
+            # Fed through the continuations: ``x`` is what ``f`` built.
+            assert type(x) is delay.Later and type(x._thunk) is delay._Run
+        else:
+            assert type(x) is cls and type(x._thunk) is tuple
+            assert x._thunk[0] is head and x._thunk[1] is ks and len(x._thunk) == 2
             rest = run_for(x, 1).rest
-            assert x._thunk is rest and type(rest._thunk) is delay._Run
-            assert run_for(x, 10) == Converged(1, 4)
+            # A head of one step (four in all, with ``f``'s three) is cut to its value and fed,
+            # leaving ``f``'s node; a longer one leaves the bind of its own rest.
+            one_step = result is not None and result.steps == 4
+            assert x._thunk is rest and type(rest._thunk) is (delay._Run if one_step else tuple)
+        r = run_for(x, 10)
+        assert r == result if result else isinstance(r, Exhausted)
 
     def test_a_run_cut_short_keeps_what_it_holds(self):
         x = delay_by(7, 3)
